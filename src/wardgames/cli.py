@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ from .equilibrium import (
     enumerate_nash,
     flip_conditions,
 )
-from .errors import ScenarioError
+from .errors import BracketError, ScenarioError
 from .interventions import (
     EffortReduction,
     Intervention,
@@ -111,6 +112,15 @@ def _integer(obj: dict, key: str, path: str) -> int:
         f"expected an integer, got {v!r}",
     )
     return v
+
+
+def _epsilon(value: float, path: str) -> float:
+    _require(
+        math.isfinite(value) and value >= 0,
+        path,
+        f"expected a finite number >= 0, got {value!r}",
+    )
+    return value
 
 
 def _parse_wards(doc: dict, n: int) -> tuple[Ward, ...]:
@@ -235,7 +245,7 @@ def _parse_options(doc: dict) -> RunOptions:
     _check_keys(o, allowed, set(), "options")
     kwargs: dict[str, Any] = {}
     if "epsilon" in o:
-        kwargs["epsilon"] = _number(o, "epsilon", "options")
+        kwargs["epsilon"] = _epsilon(_number(o, "epsilon", "options"), "options.epsilon")
     if "rng_seed" in o:
         kwargs["rng_seed"] = _integer(o, "rng_seed", "options")
     if "dt" in o:
@@ -613,9 +623,16 @@ def _load_with_diagnostics(path: str) -> tuple[Scenario, RunOptions, list[str]]:
     return scenario, options, warnings
 
 
+def _run_epsilon(args: argparse.Namespace, options: RunOptions) -> float:
+    """--epsilon when given, else the scenario file's options.epsilon."""
+    if args.epsilon is None:
+        return options.epsilon
+    return _epsilon(args.epsilon, "--epsilon")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     scenario, options, warnings = _load_with_diagnostics(args.scenario)
-    epsilon = args.epsilon if args.epsilon is not None else options.epsilon
+    epsilon = _run_epsilon(args, options)
     eq = enumerate_nash(scenario, epsilon=epsilon)
     flip = flip_conditions(scenario, epsilon=epsilon)
     sys.stdout.write(format_analysis_text(scenario, eq, flip))
@@ -661,7 +678,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         max_iters=args.max_iters if args.max_iters is not None else options.max_iters,
         tie_break=args.tie_break,
         seed=seed,
-        epsilon=args.epsilon if args.epsilon is not None else options.epsilon,
+        epsilon=_run_epsilon(args, options),
     )
     _write_output(trace_to_csv(trace), args.out)
     print(
@@ -673,7 +690,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario, options, _ = _load_with_diagnostics(args.scenario)
-    epsilon = args.epsilon if args.epsilon is not None else options.epsilon
+    epsilon = _run_epsilon(args, options)
     if args.critical:
         if not args.predicate:
             raise ScenarioError("--critical requires --predicate")
@@ -748,7 +765,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             result = critical_threshold(
                 scenario, path, lo, hi, predicate, epsilon=epsilon
             )
-        except Exception as exc:  # no flip inside the canonical bracket
+        except BracketError as exc:  # no flip inside the canonical bracket
             print(f"note: no threshold for {path}: {exc}", file=sys.stderr)
             continue
         (bundle / f"threshold_{stem}.json").write_text(

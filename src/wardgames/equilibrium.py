@@ -1,19 +1,18 @@
 """Exact equilibrium analysis: Nash enumeration, best responses, flip checks.
 
-Enumeration is exact over all 2^N pure profiles. When every ward faces
-identical incentives a fast path checks one representative per exposer count
-and expands to its orbit; both paths return identical sets. Comparisons use a
+Enumeration is exact over all 2^N pure profiles without visiting them: the
+game is anonymous, so deviation incentives are checked once per ward and
+exposer count, and the Nash set is built from those checks. Comparisons use a
 configurable epsilon (default 0: exact float comparison).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from math import comb
+from typing import NamedTuple, Sequence
 
 from .errors import ResourceLimitError, ScenarioError
 from .interventions import (
@@ -27,8 +26,8 @@ from .interventions import (
 )
 from .model import Action, ActionProfile, Scenario, welfare
 
-# Expanding symmetric orbits beyond this many profiles is refused.
-_MAX_ORBIT_PROFILES = 1 << 22
+# Materialising a Nash set of more than this many profiles is refused.
+_MAX_NASH_PROFILES = 1 << 22
 
 
 class Classification(Enum):
@@ -184,91 +183,43 @@ def _deviation_masks(
     return bad_e, bad_b, weak_e, weak_b
 
 
-def _scan_chunk(
-    lo: int, hi: int, full: int, bad_e: list[int], bad_b: list[int]
-) -> list[int]:
-    found = []
-    for mask in range(lo, hi):
-        k = mask.bit_count()
-        if mask & bad_e[k]:
-            continue
-        if (full & ~mask) & bad_b[k]:
-            continue
-        found.append(mask)
-    return found
+def _nash_profiles(tables: PayoffTables, epsilon: float) -> list[tuple[int, bool]]:
+    """Every pure Nash profile mask with its strictness flag, sorted by mask.
 
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        env = os.environ.get("WARDGAMES_THREADS", "").strip()
-        workers = int(env) if env else 1
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise ScenarioError(f"worker count must be >= 0, got {workers}")
-    return workers
-
-
-def _brute_nash_masks(tables: PayoffTables, epsilon: float, workers: int) -> list[int]:
+    A ward's deviation gain depends only on the ward and the exposer count k,
+    so the Nash profiles with k exposers are exactly the k-sets that contain
+    every ward in bad_b[k] and no ward in bad_e[k]: the remaining seats go to
+    the free wards in every possible way. The count is summed exactly before
+    anything is built, and only the materialised output is capped.
+    """
     n = tables.n
-    full = (1 << n) - 1
-    bad_e, bad_b, _, _ = _deviation_masks(tables, epsilon)
-    total = 1 << n
-    workers = min(workers, total)
-    if workers <= 1:
-        return _scan_chunk(0, total, full, bad_e, bad_b)
-    bounds = [total * j // workers for j in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(
-            lambda j: _scan_chunk(bounds[j], bounds[j + 1], full, bad_e, bad_b),
-            range(workers),
-        )
-        out: list[int] = []
-        for chunk in chunks:
-            out.extend(chunk)
-    return out
-
-
-def _symmetric_nash_masks(tables: PayoffTables, epsilon: float) -> list[int]:
-    """Check one representative per exposer count, then expand to orbits."""
-    n = tables.n
-    bad_e, bad_b, _, _ = _deviation_masks(tables, epsilon)
-    nash_counts = []
+    bad_e, bad_b, weak_e, weak_b = _deviation_masks(tables, epsilon)
+    plan = []
+    total = 0
     for k in range(n + 1):
-        rep = (1 << k) - 1
-        if rep & bad_e[k]:
+        forced = bad_b[k]
+        if forced & bad_e[k]:
             continue
-        if ((1 << n) - 1 - rep) & bad_b[k]:
+        seats = k - forced.bit_count()
+        free = [1 << i for i in range(n) if not ((forced | bad_e[k]) >> i) & 1]
+        if not 0 <= seats <= len(free):
             continue
-        nash_counts.append(k)
-    from math import comb
-
-    if sum(comb(n, k) for k in nash_counts) > _MAX_ORBIT_PROFILES:
+        plan.append((k, forced, free, seats))
+        total += comb(len(free), seats)
+    if total > _MAX_NASH_PROFILES:
         raise ResourceLimitError(
-            "the symmetric Nash set is too large to materialise; use "
-            "flip_conditions for the pole profiles instead"
+            f"the Nash set has {total} profiles, more than the cap of "
+            f"{_MAX_NASH_PROFILES} to materialise; use flip_conditions for "
+            "the pole profiles instead"
         )
-    masks: list[int] = []
-    for k in nash_counts:
-        for idxs in combinations(range(n), k):
-            m = 0
-            for i in idxs:
-                m |= 1 << i
-            masks.append(m)
-    masks.sort()
-    return masks
-
-
-def _strict_flags(
-    masks: Iterable[int], tables: PayoffTables, epsilon: float
-) -> list[bool]:
-    n = tables.n
-    full = (1 << n) - 1
-    _, _, weak_e, weak_b = _deviation_masks(tables, epsilon)
-    return [
-        not (m & weak_e[m.bit_count()]) and not ((full & ~m) & weak_b[m.bit_count()])
-        for m in masks
-    ]
+    found = []
+    for k, forced, free, seats in plan:
+        we, wb = weak_e[k], weak_b[k]
+        for combo in combinations(free, seats):
+            m = forced | sum(combo)
+            found.append((m, not (m & we) and not (wb & ~m)))
+    found.sort()
+    return found
 
 
 def _dominant_strategies(
@@ -327,36 +278,17 @@ def _welfare_optimum(
     return ActionProfile.from_mask(best[1], n), best[0]
 
 
-def enumerate_nash(
-    scenario: Scenario,
-    epsilon: float = 0.0,
-    workers: int | None = None,
-    brute_force_cap: int = 24,
-    force_brute: bool = False,
-) -> EquilibriumReport:
-    """Exhaustively verify every pure profile and assemble the full report.
+def enumerate_nash(scenario: Scenario, epsilon: float = 0.0) -> EquilibriumReport:
+    """Every pure Nash profile of the scenario plus the full report.
 
-    Symmetric scenarios take the representative-per-count fast path unless
-    force_brute is set. The brute-force path partitions the 2^N profile space
-    across `workers` threads (env WARDGAMES_THREADS when unset, 0 = auto);
-    the merged result is independent of the worker count.
+    The Nash set is exact for symmetric and asymmetric wards alike; a set of
+    more than 4M profiles raises ResourceLimitError before any is built.
     """
     n = scenario.n
     tables = payoff_tables(scenario)
-    if is_symmetric(scenario) and not force_brute:
-        masks = _symmetric_nash_masks(tables, epsilon)
-    else:
-        if n > brute_force_cap:
-            raise ResourceLimitError(
-                f"brute-force enumeration over 2^{n} profiles exceeds the cap "
-                f"of N = {brute_force_cap}; use flip_conditions to test the "
-                "pole profiles analytically"
-            )
-        masks = _brute_nash_masks(tables, epsilon, _resolve_workers(workers))
-    stricts = _strict_flags(masks, tables, epsilon)
-    nash_profiles = tuple(
-        (ActionProfile.from_mask(m, n), s) for m, s in zip(masks, stricts)
-    )
+    found = _nash_profiles(tables, epsilon)
+    masks = [m for m, _ in found]
+    nash_profiles = tuple((ActionProfile.from_mask(m, n), s) for m, s in found)
     dominant = _dominant_strategies(tables, epsilon)
     opt_profile, opt_welfare = _welfare_optimum(scenario, tables)
     if masks:

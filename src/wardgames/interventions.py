@@ -19,7 +19,6 @@ from .model import (
     Action,
     ActionProfile,
     Scenario,
-    Ward,
     _check_profile,
     benefit_at_count,
 )
@@ -105,14 +104,6 @@ class Mechanism:
 Intervention = Union[EffortReduction, Observability, Mechanism]
 
 
-def apply_effort_reduction(
-    base_payoff: float, action: Action, params: EffortReduction
-) -> float:
-    """Payoff after the cost reduction: u + delta(a)."""
-    delta = params.delta_expose if action is Action.EXPOSE else params.delta_buffer
-    return base_payoff + delta
-
-
 def detection_probability(params: Observability, k_others: int, n: int) -> float:
     """p(k_others) = clamp(p0 + p_slope * k_others / (n - 1), 0, 1)."""
     if n < 2:
@@ -121,37 +112,6 @@ def detection_probability(params: Observability, k_others: int, n: int) -> float
         raise ScenarioError(f"k_others {k_others} out of range [0, {n - 1}]")
     p = params.p0 + params.p_slope * k_others / (n - 1)
     return max(0.0, min(1.0, p))
-
-
-def apply_observability(
-    base_payoff: float,
-    action: Action,
-    k_others: int,
-    params: Observability,
-    n: int,
-) -> float:
-    """Subtract the expected consequence from buffering; exposing is untouched."""
-    if action is Action.EXPOSE:
-        return base_payoff
-    pen = detection_probability(params, k_others, n) * params.penalty
-    if pen == 0.0:
-        return base_payoff
-    return base_payoff - pen
-
-
-def apply_mechanism(ward: Ward, action: Action, params: Mechanism) -> float:
-    """Effective local cost of the given action under the mechanism."""
-    if action is Action.BUFFER:
-        return ward.cost_buffer
-    caps = params.capped_cost_expose
-    if isinstance(caps, tuple):
-        if ward.id >= len(caps):
-            raise ScenarioError(
-                f"capped_cost_expose has {len(caps)} entries; no entry for "
-                f"ward {ward.id}"
-            )
-        return caps[ward.id]
-    return float(caps)
 
 
 def resolved_mechanism(

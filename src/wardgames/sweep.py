@@ -19,6 +19,10 @@ from .model import ActionProfile, Scenario
 
 OBSERVABLES = ("nash_set", "classification", "welfare_gap", "flip_margins")
 
+# Halving any finite float bracket reaches adjacent floats in under 2100
+# steps, so this cap is a backstop that no valid bracket hits.
+_MAX_BISECT_ITERS = 2200
+
 _PATH_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
 
 
@@ -142,7 +146,6 @@ def sweep_parameter(
     scenario: Scenario,
     spec: SweepSpec,
     epsilon: float = 0.0,
-    workers: int | None = None,
 ) -> list[dict[str, Any]]:
     """Evaluate the requested observables at every grid value.
 
@@ -153,7 +156,7 @@ def sweep_parameter(
         s = set_by_path(scenario, spec.parameter_path, value)
         row: dict[str, Any] = {"value": value}
         if {"nash_set", "classification", "welfare_gap"} & set(spec.observables):
-            report = enumerate_nash(s, epsilon=epsilon, workers=workers)
+            report = enumerate_nash(s, epsilon=epsilon)
             if "nash_set" in spec.observables:
                 row["nash_set"] = [str(p) for p, _ in report.nash_profiles]
             if "classification" in spec.observables:
@@ -257,8 +260,9 @@ def critical_threshold(
     """Bisect for the parameter value where the predicate flips.
 
     The predicate must differ at the two ends of the bracket. Bisection
-    narrows the bracket to `tol` and reports its midpoint; the boundary
-    itself is evaluated with weak-Nash semantics.
+    narrows the bracket to `tol`, or to two adjacent floats when `tol` is
+    finer than the float spacing there, and reports its midpoint; the
+    boundary itself is evaluated with weak-Nash semantics.
     """
     if not lo < hi:
         raise ScenarioError(f"need lo < hi, got lo={lo}, hi={hi}")
@@ -275,8 +279,10 @@ def critical_threshold(
         )
     a, b = lo, hi
     iterations = 0
-    while b - a > tol:
-        mid = 0.5 * (a + b)
+    while b - a > tol and iterations < _MAX_BISECT_ITERS:
+        mid = 0.5 * a + 0.5 * b  # halving first cannot overflow
+        if not a < mid < b:
+            break  # a and b are adjacent floats: the bracket cannot shrink
         iterations += 1
         if at(mid) == p_lo:
             a = mid
@@ -286,7 +292,7 @@ def critical_threshold(
     if epsilon == 0.0:
         analytic = _analytic_threshold(scenario, parameter_path, key, lo, hi)
     return ThresholdResult(
-        critical_value=0.5 * (a + b),
+        critical_value=0.5 * a + 0.5 * b,
         predicate=key,
         bracket=(a, b),
         iterations=iterations,

@@ -1,4 +1,5 @@
-"""Shared fixtures: the canonical scenarios and a randomized generator."""
+"""Shared fixtures: the canonical scenarios, a randomized generator and the
+2^N is_nash scan that every Nash enumerator test compares against."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from wardgames import (
+    ActionProfile,
     ConcaveBenefit,
     EffortReduction,
     LinearBenefit,
@@ -17,6 +19,7 @@ from wardgames import (
     TableBenefit,
     ThresholdBenefit,
     Ward,
+    is_nash,
     symmetric_scenario,
 )
 
@@ -94,3 +97,21 @@ def random_scenario(
         max_ce = max(w.cost_expose for w in wards)
         ivs = random_interventions(rng, n, max_ce)
     return Scenario(wards=wards, benefit=benefit, interventions=ivs)
+
+
+def scan_nash(scenario: Scenario, epsilon: float = 0.0) -> list[tuple[int, bool]]:
+    """(mask, strict) of every Nash profile, in mask order, found by asking
+    is_nash about each of the 2^N profiles. It evaluates payoffs directly, so
+    it shares no code with the table-based enumerator."""
+    n = scenario.n
+    found = []
+    for mask in range(1 << n):
+        check = is_nash(scenario, ActionProfile.from_mask(mask, n), epsilon)
+        if check.is_nash:
+            found.append((mask, check.strict))
+    return found
+
+
+def nash_list(report) -> list[tuple[int, bool]]:
+    """(mask, strict) of every profile an EquilibriumReport lists, in order."""
+    return [(p.mask, strict) for p, strict in report.nash_profiles]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from wardgames import LinearBenefit, Scenario, ScenarioError, symmetric_scenario
+from wardgames import cli
 from wardgames.cli import (
     RunOptions,
     build_parser,
@@ -157,6 +158,32 @@ class TestAnalyze:
         for p in paths:
             main(["analyze", str(SCENARIOS / "v0_veto.json"), "--out", str(p)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestEpsilon:
+    @pytest.mark.parametrize("epsilon", [float("nan"), -1.0])
+    def test_bad_options_epsilon_exits_2(self, epsilon, tmp_path, capsys):
+        doc = s0_doc()
+        doc["options"] = {"epsilon": epsilon}
+        path = write_scenario(tmp_path, doc)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "options.epsilon" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "dynamics", "sweep"])
+    @pytest.mark.parametrize("epsilon", ["nan", "-1"])
+    def test_bad_epsilon_flag_exits_2(self, command, epsilon, capsys):
+        extra = {
+            "analyze": [],
+            "dynamics": ["--initial", "EEEE"],
+            "sweep": ["--path", "interventions[0].penalty", "--lo", "0", "--hi", "2"],
+        }[command]
+        argv = [command, str(SCENARIOS / "s0_observability.json"), *extra]
+        assert main([*argv, f"--epsilon={epsilon}"]) == 2
+        captured = capsys.readouterr()
+        assert "--epsilon" in captured.err
+        assert captured.out == ""
 
 
 class TestDynamics:
@@ -310,6 +337,17 @@ class TestReport:
         assert svg.startswith("<svg") and "polyline" in svg
         threshold = json.loads((bundle / "threshold_0_observability.json").read_text())
         assert threshold["critical_value"] == pytest.approx(1.4, abs=1e-6)
+
+    def test_threshold_runtime_error_exits_1(self, tmp_path, monkeypatch, capsys):
+        # only a bracket without a flip becomes a note; other errors surface
+        def broken(*args, **kwargs):
+            raise RuntimeError("bisection broke")
+
+        monkeypatch.setattr(cli, "critical_threshold", broken)
+        bundle = tmp_path / "bundle"
+        argv = ["report", str(SCENARIOS / "s0_observability.json"), "--bundle", str(bundle)]
+        assert main(argv) == 1
+        assert "bisection broke" in capsys.readouterr().err
 
     def test_bundle_deterministic(self, tmp_path):
         bundles = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -18,14 +19,16 @@ from wardgames import (
     Scenario,
     ScenarioError,
     TableBenefit,
+    ThresholdBenefit,
     Ward,
     best_response,
     enumerate_nash,
     flip_conditions,
     is_nash,
     symmetric_scenario,
+    welfare,
 )
-from conftest import random_scenario
+from conftest import nash_list, random_scenario, scan_nash
 
 
 def nash_set(report):
@@ -112,57 +115,61 @@ class TestEnumerate:
         rng = random.Random(41)
         for _ in range(25):
             s = random_scenario(rng, max_n=6, with_interventions=True)
-            report = enumerate_nash(s, force_brute=True)
-            found = {p.mask for p, _ in report.nash_profiles}
-            expected = set()
-            for mask in range(1 << s.n):
-                check = is_nash(s, ActionProfile.from_mask(mask, s.n))
-                if check.is_nash:
-                    expected.add(mask)
-                    if (mask, check.strict) not in nash_set(report):
-                        raise AssertionError(
-                            f"strictness mismatch at mask {mask} in {s}"
-                        )
-            assert found == expected
+            for eps in (0.0, rng.uniform(0.01, 0.3)):
+                assert nash_list(enumerate_nash(s, epsilon=eps)) == scan_nash(s, eps)
 
     def test_fast_path_equals_brute_force(self):
+        # symmetric wards: whole orbits in mask order, and the welfare gap and
+        # the Bistable class follow from exactly the scanned Nash set
         rng = random.Random(43)
         for _ in range(30):
             s = random_scenario(rng, max_n=10, symmetric=True, with_interventions=True)
-            fast = enumerate_nash(s)
-            brute = enumerate_nash(s, force_brute=True)
-            assert nash_set(fast) == nash_set(brute)
-            assert fast.classification is brute.classification
-            assert fast.welfare_optimum == brute.welfare_optimum
-            assert fast.welfare_gap == brute.welfare_gap
+            report = enumerate_nash(s)
+            scanned = scan_nash(s)
+            assert nash_list(report) == scanned
+            if scanned:
+                best = max(welfare(s, ActionProfile.from_mask(m, s.n)) for m, _ in scanned)
+                assert report.welfare_gap == report.welfare_optimum[1] - best
+            else:
+                assert report.welfare_gap is None
+            if report.classification in (Classification.BISTABLE, Classification.MIXED_OTHER):
+                poles = {0, (1 << s.n) - 1} <= {m for m, _ in scanned}
+                assert (report.classification is Classification.BISTABLE) == poles
 
-    def test_worker_count_does_not_change_result(self):
-        rng = random.Random(47)
-        s = random_scenario(rng, n=10, symmetric=False)
-        reports = [enumerate_nash(s, workers=w) for w in (1, 2, 8)]
-        assert nash_set(reports[0]) == nash_set(reports[1]) == nash_set(reports[2])
-        assert (
-            reports[0].welfare_optimum
-            == reports[1].welfare_optimum
-            == reports[2].welfare_optimum
+    def test_asymmetric_n26_lists_only_nash_profiles(self):
+        # threshold game, tau = 13: wards 0-13 find exposing worth it when
+        # pivotal, wards 14-25 never do, so the Nash set is all-Buffer plus
+        # every 13-subset of wards 0-13
+        wards = tuple(
+            Ward(i, 1.5 + 0.1 * i if i < 14 else 4.5 + 0.1 * i, 1.0 + 0.01 * i)
+            for i in range(26)
         )
+        s = Scenario(wards, ThresholdBenefit(tau=13, beta=3.0))
+        report = enumerate_nash(s)
+        cheap = (1 << 14) - 1
+        expected = sorted([0] + [cheap & ~(1 << j) for j in range(14)])
+        assert nash_list(report) == [(m, True) for m in expected]
+        for p, strict in report.nash_profiles:
+            assert is_nash(s, p) == (True, frozenset(), strict)
+        rng = random.Random(67)
+        for _ in range(200):
+            mask = rng.getrandbits(26)
+            if mask not in expected:
+                assert not is_nash(s, ActionProfile.from_mask(mask, 26)).is_nash
 
-    def test_worker_count_from_environment(self, monkeypatch):
-        rng = random.Random(49)
-        s = random_scenario(rng, n=8, symmetric=True)
-        monkeypatch.setenv("WARDGAMES_THREADS", "4")
-        env_report = enumerate_nash(s, force_brute=True)
-        monkeypatch.delenv("WARDGAMES_THREADS")
-        assert nash_set(env_report) == nash_set(enumerate_nash(s, force_brute=True))
-        monkeypatch.setenv("WARDGAMES_THREADS", "0")  # 0 = auto
-        auto_report = enumerate_nash(s, force_brute=True)
-        assert nash_set(auto_report) == nash_set(env_report)
-
-    def test_brute_force_cap_enforced(self):
-        wards = tuple(Ward(i, 2.0 + 0.01 * i, 1.0) for i in range(26))
-        s = Scenario(wards, LinearBenefit(0.1))
+    def test_resource_limit_raised_before_materialising(self):
+        # dyadic costs with c(E) - c(B) = B(k + 1) - B(k) = 0.5 make every
+        # deviation tie exactly, so all 2^23 > 4M profiles are weak Nash
+        wards = tuple(Ward(i, 1.5 + 0.25 * i, 1.0 + 0.25 * i) for i in range(23))
+        s = Scenario(wards, LinearBenefit(0.5))
+        rng = random.Random(71)
+        for _ in range(5):
+            check = is_nash(s, ActionProfile.from_mask(rng.getrandbits(23), 23))
+            assert check.is_nash and not check.strict
+        start = time.perf_counter()
         with pytest.raises(ResourceLimitError):
-            enumerate_nash(s, brute_force_cap=24)
+            enumerate_nash(s)
+        assert time.perf_counter() - start < 1.0
 
     def test_uniform_shift_leaves_report_invariant(self):
         rng = random.Random(53)

@@ -17,9 +17,6 @@ from wardgames import (
     Scenario,
     ScenarioError,
     Ward,
-    apply_effort_reduction,
-    apply_mechanism,
-    apply_observability,
     detection_probability,
     effective_payoff,
     is_symmetric,
@@ -36,19 +33,25 @@ def all_profiles(n):
 
 
 class TestEffortReduction:
-    def test_expose_delta_applied(self):
-        out = apply_effort_reduction(-1.7, Action.EXPOSE, EffortReduction(0.4, 0.0))
-        assert out == pytest.approx(-1.3)
+    def test_expose_delta_applied(self, s0):
+        s = Scenario(s0.wards, s0.benefit, (EffortReduction(0.4, 0.0),))
+        p = ActionProfile.from_string("EBBB")
+        assert effective_payoff(s0, p, 0) == pytest.approx(-1.7)
+        assert effective_payoff(s, p, 0) == pytest.approx(-1.3)
+        assert effective_payoff(s, p, 1) == effective_payoff(s0, p, 1)
 
-    def test_zero_deltas_identity(self):
-        params = EffortReduction(0.0, 0.0)
-        for base in (-1.0, 0.0, 2.5):
-            assert apply_effort_reduction(base, Action.EXPOSE, params) == base
-            assert apply_effort_reduction(base, Action.BUFFER, params) == base
+    def test_zero_deltas_identity(self, s0):
+        s = Scenario(s0.wards, s0.benefit, (EffortReduction(0.0, 0.0),))
+        for p in all_profiles(4):
+            for i in range(4):
+                assert effective_payoff(s, p, i) == effective_payoff(s0, p, i)
 
-    def test_buffer_delta_applied(self):
-        out = apply_effort_reduction(-1.0, Action.BUFFER, EffortReduction(0.0, 0.4))
-        assert out == pytest.approx(-0.6)
+    def test_buffer_delta_applied(self, s0):
+        s = Scenario(s0.wards, s0.benefit, (EffortReduction(0.0, 0.4),))
+        p = ActionProfile.from_string("EBBB")
+        assert effective_payoff(s, p, 1) == pytest.approx(0.3 - 1.0 + 0.4)
+        assert effective_payoff(s, ActionProfile.all_buffer(4), 0) == pytest.approx(-0.6)
+        assert effective_payoff(s, p, 0) == effective_payoff(s0, p, 0)
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ScenarioError):
@@ -92,17 +95,16 @@ class TestObservability:
         with pytest.raises(ScenarioError):
             detection_probability(params, 4, 4)
 
-    def test_penalty_hits_buffer_only(self):
-        params = Observability(p0=0.5, p_slope=0.0, penalty=2.1)
-        assert apply_observability(-1.0, Action.BUFFER, 0, params, 4) == pytest.approx(
-            -2.05
-        )
-        assert apply_observability(-1.7, Action.EXPOSE, 0, params, 4) == -1.7
+    def test_penalty_hits_buffer_only(self, s0):
+        s = Scenario(s0.wards, s0.benefit, (Observability(p0=0.5, p_slope=0.0, penalty=2.1),))
+        assert effective_payoff(s, ActionProfile.all_buffer(4), 0) == pytest.approx(-2.05)
+        assert effective_payoff(s, ActionProfile.from_string("EBBB"), 0) == -1.7
 
-    def test_zero_penalty_identity(self):
-        params = Observability(p0=0.5, p_slope=0.3, penalty=0.0)
-        for a in Action:
-            assert apply_observability(-1.0, a, 2, params, 4) == -1.0
+    def test_zero_penalty_identity(self, s0):
+        s = Scenario(s0.wards, s0.benefit, (Observability(p0=0.5, p_slope=0.3, penalty=0.0),))
+        for p in all_profiles(4):
+            for i in range(4):
+                assert effective_payoff(s, p, i) == effective_payoff(s0, p, i)
 
     def test_never_changes_expose_payoffs(self):
         rng = random.Random(5)
@@ -121,15 +123,22 @@ class TestObservability:
 class TestMechanism:
     def test_expose_cost_capped(self, s0):
         params = Mechanism(1.2)
-        assert apply_mechanism(s0.wards[0], Action.EXPOSE, params) == 1.2
-        # capped exposing against all-buffer others now beats buffering
         s = symmetric_scenario(4, 2.0, 1.0, LinearBenefit(0.3), [params])
+        for p in all_profiles(4):
+            for i in range(4):
+                if p.actions[i] is Action.EXPOSE:
+                    assert effective_payoff(s, p, i) == s.benefit_at(p.exposer_count) - 1.2
+        # capped exposing against all-buffer others now beats buffering
         u_e = payoff(s, ActionProfile.from_string("EBBB"), 0)
         assert u_e == pytest.approx(-0.9)
         assert u_e >= payoff(s, ActionProfile.all_buffer(4), 0)
 
     def test_buffer_cost_untouched(self, s0):
-        assert apply_mechanism(s0.wards[0], Action.BUFFER, Mechanism(1.2)) == 1.0
+        s = Scenario(s0.wards, s0.benefit, (Mechanism(1.2),))
+        for p in all_profiles(4):
+            for i in range(4):
+                if p.actions[i] is Action.BUFFER:
+                    assert effective_payoff(s, p, i) == s.benefit_at(p.exposer_count) - 1.0
 
     def test_cap_equal_to_cost_is_identity(self, s0):
         with_cap = Scenario(s0.wards, s0.benefit, (Mechanism(2.0),))
@@ -137,10 +146,15 @@ class TestMechanism:
             for i in range(4):
                 assert payoff(with_cap, p, i) == payoff(s0, p, i)
 
-    def test_per_ward_sequence_mismatch(self):
-        ward = Ward(3, 2.0, 1.0)
+    def test_per_ward_sequence_mismatch(self, s0):
+        short = Mechanism((1.0, 1.0))
         with pytest.raises(ScenarioError):
-            apply_mechanism(ward, Action.EXPOSE, Mechanism((1.0, 1.0)))
+            Scenario(s0.wards, s0.benefit, (short,))
+        # a scenario that slipped past construction is still refused on use
+        s = Scenario(s0.wards, s0.benefit)
+        object.__setattr__(s, "interventions", (short,))
+        with pytest.raises(ScenarioError):
+            effective_payoff(s, ActionProfile.all_expose(4), 3)
 
     def test_never_changes_buffer_payoffs(self):
         rng = random.Random(9)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 
 import pytest
 
@@ -168,6 +170,10 @@ class TestCriticalThreshold:
         assert result.analytic_value == pytest.approx(1.4, abs=1e-12)
         assert abs(result.critical_value - result.analytic_value) <= 1e-6
         assert result.true_at_high
+        # the adjacent-float stop and the iteration cap leave this bracket's
+        # steps and result exactly as they were
+        assert result.iterations == 33
+        assert result.critical_value == 1.39999999984866
 
     def test_effort_threshold(self, s0):
         s = Scenario(s0.wards, s0.benefit, (EffortReduction(0.0, 0.0),))
@@ -254,6 +260,25 @@ class TestCriticalThreshold:
             s, "interventions[0].delta_expose", 0.0, 2.5, "all_buffer_not_nash"
         )
         assert result.analytic_value is None
+
+    @pytest.mark.parametrize(
+        "cost_expose, lo, hi", [(3e9, 0.0, 1e10), (1.5e308, 1e308, 1.7e308)]
+    )
+    def test_bisection_stops_at_adjacent_floats(self, cost_expose, lo, hi):
+        # near the root the float spacing exceeds tol, so only the adjacency
+        # check ends the loop; in the second bracket lo + hi overflows
+        s = symmetric_scenario(
+            4, cost_expose, 1.0, LinearBenefit(0.3), [Observability(1.0, 0.0, 0.0)]
+        )
+        start = time.perf_counter()
+        result = critical_threshold(
+            s, "interventions[0].penalty", lo, hi, "all_buffer_not_nash"
+        )
+        assert time.perf_counter() - start < 1.0
+        a, b = result.bracket
+        assert math.nextafter(a, math.inf) == b
+        assert a <= result.critical_value <= b
+        assert a <= cost_expose - 1.0 - 0.3 <= b
 
     def test_threshold_on_veto_game_mechanism(self, v0):
         # all-Expose is already Nash in V0; cap sweep cannot change that
