@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from .dynamics import (
+    MAX_RK4_STEPS,
     DynamicsTrace,
     ReplicatorResult,
     best_response_dynamics,
@@ -52,6 +53,7 @@ from .model import (
     validate_scenario,
 )
 from .sweep import (
+    MAX_GRID_POINTS,
     SweepSpec,
     ThresholdResult,
     critical_threshold,
@@ -114,11 +116,20 @@ def _integer(obj: dict, key: str, path: str) -> int:
     return v
 
 
-def _epsilon(value: float, path: str) -> float:
+def _nonnegative(value: float, path: str) -> float:
     _require(
         math.isfinite(value) and value >= 0,
         path,
         f"expected a finite number >= 0, got {value!r}",
+    )
+    return value
+
+
+def _positive(value: float, path: str) -> float:
+    _require(
+        math.isfinite(value) and value > 0,
+        path,
+        f"expected a finite number > 0, got {value!r}",
     )
     return value
 
@@ -245,13 +256,15 @@ def _parse_options(doc: dict) -> RunOptions:
     _check_keys(o, allowed, set(), "options")
     kwargs: dict[str, Any] = {}
     if "epsilon" in o:
-        kwargs["epsilon"] = _epsilon(_number(o, "epsilon", "options"), "options.epsilon")
+        kwargs["epsilon"] = _nonnegative(
+            _number(o, "epsilon", "options"), "options.epsilon"
+        )
     if "rng_seed" in o:
         kwargs["rng_seed"] = _integer(o, "rng_seed", "options")
     if "dt" in o:
-        kwargs["dt"] = _number(o, "dt", "options")
+        kwargs["dt"] = _positive(_number(o, "dt", "options"), "options.dt")
     if "t_end" in o:
-        kwargs["t_end"] = _number(o, "t_end", "options")
+        kwargs["t_end"] = _nonnegative(_number(o, "t_end", "options"), "options.t_end")
     if "max_iters" in o:
         kwargs["max_iters"] = _integer(o, "max_iters", "options")
     return RunOptions(**kwargs)
@@ -627,7 +640,7 @@ def _run_epsilon(args: argparse.Namespace, options: RunOptions) -> float:
     """--epsilon when given, else the scenario file's options.epsilon."""
     if args.epsilon is None:
         return options.epsilon
-    return _epsilon(args.epsilon, "--epsilon")
+    return _nonnegative(args.epsilon, "--epsilon")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -652,12 +665,18 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
                 f"--initial must be a share in [0, 1] with --replicator, got "
                 f"{args.initial!r}"
             ) from None
-        result = integrate_replicator(
-            scenario,
-            x0,
-            t_end=args.t_end if args.t_end is not None else options.t_end,
-            dt=args.dt if args.dt is not None else options.dt,
+        t_end, t_path = options.t_end, "options.t_end"
+        if args.t_end is not None:
+            t_end, t_path = _nonnegative(args.t_end, "--t-end"), "--t-end"
+        dt, dt_path = options.dt, "options.dt"
+        if args.dt is not None:
+            dt, dt_path = _positive(args.dt, "--dt"), "--dt"
+        _require(
+            t_end / dt <= MAX_RK4_STEPS,
+            f"{t_path} / {dt_path}",
+            f"{t_end} / {dt} needs more than {MAX_RK4_STEPS} RK4 steps",
         )
+        result = integrate_replicator(scenario, x0, t_end=t_end, dt=dt)
         _write_output(replicator_to_csv(result), args.out)
         for fp in result.fixed_points:
             print(
@@ -700,6 +719,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         doc = threshold_result_dict(result, scenario, options, args.path)
         _write_output(_dump_json(doc), args.out)
         return EXIT_OK
+    _require(
+        2 <= args.steps <= MAX_GRID_POINTS,
+        "--steps",
+        f"expected an integer in [2, {MAX_GRID_POINTS}], got {args.steps}",
+    )
     observables = tuple(args.observables.split(","))
     spec = SweepSpec(
         parameter_path=args.path,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NumericalError, ScenarioError
-from .interventions import is_symmetric, payoff_tables
+from .interventions import PayoffTables, is_symmetric, payoff_tables
 from .model import Action, ActionProfile, Scenario
 
 SCHEDULES = ("round_robin", "random")
@@ -21,6 +21,9 @@ TIE_BREAKS = ("stay", "expose", "buffer")
 
 _FIXED_POINT_GRID = 1024
 _BISECT_TOL = 1e-12
+
+# ceil(t_end / dt) above this is refused: the trajectory is kept in memory.
+MAX_RK4_STEPS = 10**6
 
 
 class TraceTerminal(Enum):
@@ -202,29 +205,34 @@ def expected_payoffs_by_strategy(scenario: Scenario, x: float) -> tuple[float, f
         )
     if not 0.0 <= x <= 1.0:
         raise ScenarioError(f"population share x must lie in [0, 1], got {x}")
-    tables = payoff_tables(scenario)
-    m = scenario.n - 1
+    return _expected_payoffs(payoff_tables(scenario), x)
+
+
+def _expected_payoffs(tables: PayoffTables, x: float) -> tuple[float, float]:
+    """(u_E, u_B) of ward 0 against Binomial(N-1, x) exposing opponents."""
+    m = tables.n - 1
+    expose, buffer = tables.expose[0], tables.buffer[0]
     u_e = 0.0
     u_b = 0.0
     for j in range(m + 1):
         p = math.comb(m, j) * x**j * (1.0 - x) ** (m - j)
         if p == 0.0:
             continue
-        u_e += p * tables.expose[0][j]
-        u_b += p * tables.buffer[0][j]
+        u_e += p * expose[j]
+        u_b += p * buffer[j]
     return u_e, u_b
 
 
-def _strategy_gain(scenario: Scenario, x: float) -> float:
-    u_e, u_b = expected_payoffs_by_strategy(scenario, x)
+def _strategy_gain(tables: PayoffTables, x: float) -> float:
+    u_e, u_b = _expected_payoffs(tables, x)
     return u_e - u_b
 
 
-def _interior_fixed_points(scenario: Scenario) -> list[float]:
+def _interior_fixed_points(tables: PayoffTables) -> list[float]:
     """Grid-scan u_E - u_B for sign changes, then bisect each bracket."""
     g = _strategy_gain
     xs = [i / _FIXED_POINT_GRID for i in range(_FIXED_POINT_GRID + 1)]
-    vals = [g(scenario, x) for x in xs]
+    vals = [g(tables, x) for x in xs]
     roots: list[float] = []
     for i in range(_FIXED_POINT_GRID):
         a, b = xs[i], xs[i + 1]
@@ -235,7 +243,7 @@ def _interior_fixed_points(scenario: Scenario) -> list[float]:
         if fa * fb < 0.0:
             while b - a > _BISECT_TOL:
                 mid = 0.5 * (a + b)
-                fm = g(scenario, mid)
+                fm = g(tables, mid)
                 if fm == 0.0:
                     a = b = mid
                     break
@@ -253,14 +261,14 @@ def _interior_fixed_points(scenario: Scenario) -> list[float]:
     return deduped
 
 
-def _classify(scenario: Scenario, points: list[float]) -> list[FixedPoint]:
+def _classify(tables: PayoffTables, points: list[float]) -> list[FixedPoint]:
     """Stability from the flow sign on each side of every fixed point.
 
     Sign-preserving degeneracies (flat flow, tangency roots) are Boundary.
     """
     segs = []
     for lo, hi in zip(points[:-1], points[1:]):
-        val = _strategy_gain(scenario, 0.5 * (lo + hi))
+        val = _strategy_gain(tables, 0.5 * (lo + hi))
         segs.append(0.0 if val == 0.0 else math.copysign(1.0, val))
     out = []
     for idx, x in enumerate(points):
@@ -292,11 +300,11 @@ def _classify(scenario: Scenario, points: list[float]) -> list[FixedPoint]:
     return out
 
 
-def _basins(scenario: Scenario, fixed: list[FixedPoint]) -> list[Basin]:
+def _basins(tables: PayoffTables, fixed: list[FixedPoint]) -> list[Basin]:
     points = [fp.x for fp in fixed]
     basins: list[Basin] = []
     for lo, hi in zip(points[:-1], points[1:]):
-        val = _strategy_gain(scenario, 0.5 * (lo + hi))
+        val = _strategy_gain(tables, 0.5 * (lo + hi))
         if val == 0.0:
             continue
         attractor = hi if val > 0.0 else lo
@@ -318,17 +326,25 @@ def integrate_replicator(
 
     x = 0 and x = 1 are always fixed points. A trajectory drifting outside
     [0, 1] by more than 1e-9 raises NumericalError (dt too large); smaller
-    excursions are clamped.
+    excursions are clamped. dt and t_end must be finite, and t_end / dt at
+    most MAX_RK4_STEPS. The payoff tables are built once.
     """
     if not 0.0 <= x0 <= 1.0:
         raise ScenarioError(f"x0 must lie in [0, 1], got {x0}")
-    if dt <= 0.0 or t_end < 0.0:
-        raise ScenarioError(f"need dt > 0 and t_end >= 0, got dt={dt}, t_end={t_end}")
+    if not (dt > 0.0 and math.isfinite(dt) and t_end >= 0.0 and math.isfinite(t_end)):
+        raise ScenarioError(
+            f"need a finite dt > 0 and a finite t_end >= 0, got dt={dt}, t_end={t_end}"
+        )
+    if t_end / dt > MAX_RK4_STEPS:
+        raise ScenarioError(
+            f"t_end={t_end} with dt={dt} needs more than {MAX_RK4_STEPS} RK4 steps"
+        )
     if not is_symmetric(scenario):
         raise ScenarioError("replicator dynamics require identical wards")
+    tables = payoff_tables(scenario)
 
     def f(x: float) -> float:
-        return x * (1.0 - x) * _strategy_gain(scenario, min(1.0, max(0.0, x)))
+        return x * (1.0 - x) * _strategy_gain(tables, min(1.0, max(0.0, x)))
 
     traj = [(0.0, x0)]
     x = x0
@@ -347,10 +363,10 @@ def integrate_replicator(
         x = min(1.0, max(0.0, x))
         t = t + h
         traj.append((t, x))
-    interior = _interior_fixed_points(scenario)
+    interior = _interior_fixed_points(tables)
     points = [0.0] + interior + [1.0]
-    fixed = _classify(scenario, points)
-    basins = _basins(scenario, fixed)
+    fixed = _classify(tables, points)
+    basins = _basins(tables, fixed)
     return ReplicatorResult(
         trajectory=tuple(traj),
         fixed_points=tuple(fixed),

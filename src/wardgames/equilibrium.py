@@ -11,18 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
-from math import comb
+from math import comb, fsum
 from typing import NamedTuple, Sequence
 
 from .errors import ResourceLimitError, ScenarioError
 from .interventions import (
     EffortReduction,
     Mechanism,
+    MechanismMode,
     Observability,
     PayoffTables,
     effective_payoff,
-    is_symmetric,
     payoff_tables,
+    resolved_mechanism,
 )
 from .model import Action, ActionProfile, Scenario, welfare
 
@@ -166,46 +167,60 @@ def _deviation_masks(
     bad_b = [0] * (n + 1)
     weak_e = [0] * (n + 1)
     weak_b = [0] * (n + 1)
-    for k in range(n + 1):
-        for i in range(n):
-            if k >= 1:
-                gain = tables.buffer[i][k - 1] - tables.expose[i][k - 1]
-                if gain > epsilon:
-                    bad_e[k] |= 1 << i
-                if gain >= -epsilon:
-                    weak_e[k] |= 1 << i
-            if k <= n - 1:
-                gain = tables.expose[i][k] - tables.buffer[i][k]
-                if gain > epsilon:
-                    bad_b[k] |= 1 << i
-                if gain >= -epsilon:
-                    weak_b[k] |= 1 << i
+    # wards sharing both payoff rows (equal effective costs) share every check
+    groups: dict[tuple[int, int], list] = {}
+    for i, rows in enumerate(zip(tables.expose, tables.buffer)):
+        groups.setdefault((id(rows[0]), id(rows[1])), [rows, 0])[1] |= 1 << i
+    for (expose, buffer), bits in groups.values():
+        for j in range(n):
+            # k = j + 1 exposers, one of them leaving
+            gain = buffer[j] - expose[j]
+            if gain > epsilon:
+                bad_e[j + 1] |= bits
+            if gain >= -epsilon:
+                weak_e[j + 1] |= bits
+            # k = j exposers, a buffering ward joining them
+            gain = expose[j] - buffer[j]
+            if gain > epsilon:
+                bad_b[j] |= bits
+            if gain >= -epsilon:
+                weak_b[j] |= bits
     return bad_e, bad_b, weak_e, weak_b
 
 
-def _nash_profiles(tables: PayoffTables, epsilon: float) -> list[tuple[int, bool]]:
-    """Every pure Nash profile mask with its strictness flag, sorted by mask.
+def _nash_plan(
+    n: int, bad_e: list[int], bad_b: list[int]
+) -> list[tuple[int, int, int, int]]:
+    """The Nash profiles, described per exposer count without building them.
 
     A ward's deviation gain depends only on the ward and the exposer count k,
     so the Nash profiles with k exposers are exactly the k-sets that contain
-    every ward in bad_b[k] and no ward in bad_e[k]: the remaining seats go to
-    the free wards in every possible way. The count is summed exactly before
-    anything is built, and only the materialised output is capped.
+    every ward in bad_b[k] (`forced`) and no ward in bad_e[k]: the remaining
+    `seats` go to the `free` wards (a mask) in every possible way. Returns
+    one (k, forced, free, seats) entry per count that has Nash profiles.
     """
-    n = tables.n
-    bad_e, bad_b, weak_e, weak_b = _deviation_masks(tables, epsilon)
+    everyone = (1 << n) - 1
     plan = []
-    total = 0
     for k in range(n + 1):
         forced = bad_b[k]
         if forced & bad_e[k]:
             continue
         seats = k - forced.bit_count()
-        free = [1 << i for i in range(n) if not ((forced | bad_e[k]) >> i) & 1]
-        if not 0 <= seats <= len(free):
-            continue
-        plan.append((k, forced, free, seats))
-        total += comb(len(free), seats)
+        free = everyone & ~(forced | bad_e[k])
+        if 0 <= seats <= free.bit_count():
+            plan.append((k, forced, free, seats))
+    return plan
+
+
+def _nash_profiles(
+    plan: list[tuple[int, int, int, int]], weak_e: list[int], weak_b: list[int]
+) -> list[tuple[int, bool]]:
+    """Every pure Nash profile mask with its strictness flag, sorted by mask.
+
+    The count is summed exactly before anything is built, and only the
+    materialised output is capped.
+    """
+    total = sum(comb(free.bit_count(), seats) for _, _, free, seats in plan)
     if total > _MAX_NASH_PROFILES:
         raise ResourceLimitError(
             f"the Nash set has {total} profiles, more than the cap of "
@@ -215,7 +230,8 @@ def _nash_profiles(tables: PayoffTables, epsilon: float) -> list[tuple[int, bool
     found = []
     for k, forced, free, seats in plan:
         we, wb = weak_e[k], weak_b[k]
-        for combo in combinations(free, seats):
+        bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
+        for combo in combinations(bits, seats):
             m = forced | sum(combo)
             found.append((m, not (m & we) and not (wb & ~m)))
     found.sort()
@@ -223,59 +239,83 @@ def _nash_profiles(tables: PayoffTables, epsilon: float) -> list[tuple[int, bool
 
 
 def _dominant_strategies(
-    tables: PayoffTables, epsilon: float
+    n: int, bad_e: list[int], bad_b: list[int]
 ) -> tuple[Action | None, ...]:
-    out: list[Action | None] = []
-    for i in range(tables.n):
-        gains = [tables.gain_to_expose(i, j) for j in range(tables.n)]
-        if all(g > epsilon for g in gains):
-            out.append(Action.EXPOSE)
-        elif all(g < -epsilon for g in gains):
-            out.append(Action.BUFFER)
-        else:
-            out.append(None)
-    return tuple(out)
+    """A ward's strictly dominant action: Expose when joining the exposers
+    pays at every count, Buffer when leaving them pays at every count."""
+    expose_wins = buffer_wins = (1 << n) - 1
+    for k in range(n):
+        expose_wins &= bad_b[k]
+        buffer_wins &= bad_e[k + 1]
+    return tuple(
+        Action.EXPOSE if expose_wins >> i & 1
+        else Action.BUFFER if buffer_wins >> i & 1
+        else None
+        for i in range(n)
+    )
 
 
-def _welfare_optimum(
-    scenario: Scenario, tables: PayoffTables
-) -> tuple[ActionProfile, float]:
-    """Exact welfare argmax without scanning all 2^N profiles.
+def _welfare_search(
+    scenario: Scenario,
+    tables: PayoffTables,
+    plan: list[tuple[int, int, int, int]],
+) -> tuple[int, int | None]:
+    """Masks of the welfare optimum and of the best Nash profile (None when
+    the plan is empty), without scanning all 2^N profiles.
 
     Welfare separates per exposer count k into a base term plus a per-ward
     contribution w_i(k), so the best k-profile takes the k wards with the
-    largest contributions. Ties prefer lower ward indices and then smaller k,
+    largest contributions, and the best Nash k-profile takes the forced wards
+    plus the `seats` free wards with the largest contributions. Candidates
+    are scored with the floats welfare() sums, in math.fsum, so scores equal
+    welfare() exactly. Ties prefer lower ward indices and then smaller k,
     matching the first maximiser a mask-ordered scan would find.
     """
-    from .interventions import MechanismMode, resolved_mechanism
-
-    n = scenario.n
+    n = tables.n
+    expose, buffer = tables.expose, tables.buffer
     caps, mode = resolved_mechanism(scenario)
-    charge = [0.0] * n
+    charge = None
     if caps is not None and mode is MechanismMode.REDISTRIBUTE:
         charge = [w.cost_expose - caps[w.id] for w in scenario.wards]
+    offset = charge or [0.0] * n
+    nash = {k: (forced, free, seats) for k, forced, free, seats in plan}
+
+    def score(k: int, exposers: list[int], others: list[int]) -> float:
+        values = [expose[i][k - 1] for i in exposers]
+        values += [buffer[i][k] for i in others]
+        total = fsum(values)
+        if charge is None:
+            return total
+        return total - fsum([charge[i] for i in exposers])
+
     best: tuple[float, int] | None = None  # (welfare, mask)
+    best_nash: tuple[float, int] | None = None
     for k in range(n + 1):
-        if k == 0:
-            mask = 0
-        elif k == n:
-            mask = (1 << n) - 1
-        else:
-            order = sorted(
-                range(n),
-                key=lambda i: (
-                    -(tables.expose[i][k - 1] - tables.buffer[i][k] - charge[i]),
-                    i,
-                ),
-            )
-            mask = 0
-            for i in order[:k]:
-                mask |= 1 << i
-        w = welfare(scenario, ActionProfile.from_mask(mask, n))
-        if best is None or w > best[0] or (w == best[0] and mask < best[1]):
-            best = (w, mask)
+        order = list(range(n))
+        if 0 < k < n:
+            key = [-(e[k - 1] - b[k] - c) for e, b, c in zip(expose, buffer, offset)]
+            order.sort(key=key.__getitem__)  # stable: ties by index
+        w = score(k, order[:k], order[k:])
+        if best is None or w >= best[0]:
+            mask = sum(1 << i for i in order[:k])
+            if best is None or w > best[0] or mask < best[1]:
+                best = (w, mask)
+        if k in nash:
+            forced, free, seats = nash[k]
+            exposers, others = [], []
+            for i in order:
+                if forced >> i & 1:
+                    exposers.append(i)
+                elif seats and free >> i & 1:
+                    exposers.append(i)
+                    seats -= 1
+                else:
+                    others.append(i)
+            w = score(k, exposers, others)
+            if best_nash is None or w > best_nash[0]:
+                best_nash = (w, sum(1 << i for i in exposers))
     assert best is not None
-    return ActionProfile.from_mask(best[1], n), best[0]
+    return best[1], None if best_nash is None else best_nash[1]
 
 
 def enumerate_nash(scenario: Scenario, epsilon: float = 0.0) -> EquilibriumReport:
@@ -283,32 +323,23 @@ def enumerate_nash(scenario: Scenario, epsilon: float = 0.0) -> EquilibriumRepor
 
     The Nash set is exact for symmetric and asymmetric wards alike; a set of
     more than 4M profiles raises ResourceLimitError before any is built.
+    The payoff tables are built once; welfare() is called only on the
+    welfare optimum and on the best Nash profile.
     """
     n = scenario.n
     tables = payoff_tables(scenario)
-    found = _nash_profiles(tables, epsilon)
+    bad_e, bad_b, weak_e, weak_b = _deviation_masks(tables, epsilon)
+    plan = _nash_plan(n, bad_e, bad_b)
+    found = _nash_profiles(plan, weak_e, weak_b)
     masks = [m for m, _ in found]
     nash_profiles = tuple((ActionProfile.from_mask(m, n), s) for m, s in found)
-    dominant = _dominant_strategies(tables, epsilon)
-    opt_profile, opt_welfare = _welfare_optimum(scenario, tables)
-    if masks:
-        # welfare is constant on a symmetric orbit, so distinct counts suffice
-        symmetric = is_symmetric(scenario)
-        seen_k: dict[int, float] = {}
-        best_nash = None
-        for m in masks:
-            k = m.bit_count()
-            if symmetric and k in seen_k:
-                w = seen_k[k]
-            else:
-                w = welfare(scenario, ActionProfile.from_mask(m, n))
-                if symmetric:
-                    seen_k[k] = w
-            if best_nash is None or w > best_nash:
-                best_nash = w
-        gap: float | None = opt_welfare - best_nash
-    else:
-        gap = None
+    dominant = _dominant_strategies(n, bad_e, bad_b)
+    opt_mask, nash_mask = _welfare_search(scenario, tables, plan)
+    opt_profile = ActionProfile.from_mask(opt_mask, n)
+    opt_welfare = welfare(scenario, opt_profile)
+    gap: float | None = None
+    if nash_mask is not None:
+        gap = opt_welfare - welfare(scenario, ActionProfile.from_mask(nash_mask, n))
     if all(d is Action.BUFFER for d in dominant):
         cls = Classification.DOMINANT_BUFFER
     elif all(d is Action.EXPOSE for d in dominant):

@@ -114,25 +114,53 @@ def detection_probability(params: Observability, k_others: int, n: int) -> float
     return max(0.0, min(1.0, p))
 
 
+def _cost_rule(scenario: Scenario) -> tuple[Mechanism | None, float, float]:
+    """The governing (last) mechanism, its per-ward caps checked against N,
+    and the summed effort deltas (expose, buffer)."""
+    mech: Mechanism | None = None
+    d_e = 0.0
+    d_b = 0.0
+    for iv in scenario.interventions:
+        if isinstance(iv, Mechanism):
+            mech = iv
+        elif isinstance(iv, EffortReduction):
+            d_e += iv.delta_expose
+            d_b += iv.delta_buffer
+    if mech is not None and isinstance(mech.capped_cost_expose, tuple):
+        if len(mech.capped_cost_expose) != scenario.n:
+            raise ScenarioError(
+                f"capped_cost_expose has {len(mech.capped_cost_expose)} entries "
+                f"but the scenario has {scenario.n} wards"
+            )
+    return mech, d_e, d_b
+
+
 def resolved_mechanism(
     scenario: Scenario,
 ) -> tuple[tuple[float, ...] | None, MechanismMode | None]:
     """Per-ward caps and mode of the governing (last) mechanism, if any."""
-    mech: Mechanism | None = None
-    for iv in scenario.interventions:
-        if isinstance(iv, Mechanism):
-            mech = iv
+    mech, _, _ = _cost_rule(scenario)
     if mech is None:
         return None, None
     caps = mech.capped_cost_expose
     if isinstance(caps, tuple):
-        if len(caps) != scenario.n:
-            raise ScenarioError(
-                f"capped_cost_expose has {len(caps)} entries but the scenario "
-                f"has {scenario.n} wards"
-            )
         return caps, mech.mode
     return (float(caps),) * scenario.n, mech.mode
+
+
+def _ward_costs(
+    scenario: Scenario, ward: int, rule: tuple[Mechanism | None, float, float]
+) -> tuple[float, float]:
+    """One ward's (cost_expose, cost_buffer) under a `_cost_rule`."""
+    mech, d_e, d_b = rule
+    w = scenario.wards[ward]
+    if mech is None:
+        ce = w.cost_expose
+    elif isinstance(mech.capped_cost_expose, tuple):
+        ce = mech.capped_cost_expose[ward]
+    else:
+        ce = float(mech.capped_cost_expose)
+    return ce - d_e, w.cost_buffer - d_b
 
 
 def effective_costs(scenario: Scenario) -> list[tuple[float, float]]:
@@ -142,18 +170,8 @@ def effective_costs(scenario: Scenario) -> list[tuple[float, float]]:
     then subtract. Only cost-side transforms appear here; observability
     penalties live on the payoff, not the cost.
     """
-    caps, _ = resolved_mechanism(scenario)
-    d_e = 0.0
-    d_b = 0.0
-    for iv in scenario.interventions:
-        if isinstance(iv, EffortReduction):
-            d_e += iv.delta_expose
-            d_b += iv.delta_buffer
-    out = []
-    for w in scenario.wards:
-        ce = caps[w.id] if caps is not None else w.cost_expose
-        out.append((ce - d_e, w.cost_buffer - d_b))
-    return out
+    rule = _cost_rule(scenario)
+    return [_ward_costs(scenario, i, rule) for i in range(scenario.n)]
 
 
 def buffering_penalty(scenario: Scenario, k_others: int, n: int) -> float:
@@ -173,7 +191,7 @@ def effective_payoff(scenario: Scenario, profile: ActionProfile, ward: int) -> f
         raise ScenarioError(f"ward index {ward} out of range [0, {n - 1}]")
     action = profile.actions[ward]
     k = profile.exposer_count
-    ce, cb = effective_costs(scenario)[ward]
+    ce, cb = _ward_costs(scenario, ward, _cost_rule(scenario))
     u = benefit_at_count(scenario.benefit, k, n) - (
         ce if action is Action.EXPOSE else cb
     )
@@ -217,7 +235,8 @@ class PayoffTables:
 
     expose[i][j] is ward i's payoff for exposing when j others expose;
     buffer[i][j] likewise for buffering. Valid because the benefit depends on
-    others only through their exposer count.
+    others only through their exposer count. Wards with the same effective
+    costs share one row object.
     """
 
     n: int
@@ -229,20 +248,29 @@ class PayoffTables:
 
 
 def payoff_tables(scenario: Scenario) -> PayoffTables:
-    """Precompute all effective payoffs; bit-identical to effective_payoff."""
+    """Precompute all effective payoffs; bit-identical to effective_payoff.
+
+    One expose row and one buffer row are built per distinct effective cost
+    pair, so identical wards cost O(N) in all.
+    """
     n = scenario.n
     benefits = [benefit_at_count(scenario.benefit, k, n) for k in range(n + 1)]
     pens = [buffering_penalty(scenario, j, n) for j in range(n)]
-    costs = effective_costs(scenario)
+    rows: dict[tuple[float, ...], tuple[tuple[float, ...], tuple[float, ...]]] = {}
     expose = []
     buffer = []
-    for i in range(n):
-        ce, cb = costs[i]
-        expose.append(tuple(benefits[j + 1] - ce for j in range(n)))
-        buffer.append(
-            tuple(
-                (benefits[j] - cb) - pens[j] if pens[j] != 0.0 else benefits[j] - cb
-                for j in range(n)
+    for ce, cb in effective_costs(scenario):
+        # 0.0 == -0.0, but they can round differently: keep the signs apart
+        key = (ce, cb, math.copysign(1.0, ce), math.copysign(1.0, cb))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = (
+                tuple(benefits[j + 1] - ce for j in range(n)),
+                tuple(
+                    (benefits[j] - cb) - pens[j] if pens[j] != 0.0 else benefits[j] - cb
+                    for j in range(n)
+                ),
             )
-        )
+        expose.append(row[0])
+        buffer.append(row[1])
     return PayoffTables(n=n, expose=tuple(expose), buffer=tuple(buffer))

@@ -65,7 +65,7 @@ class ActionProfile:
 
     @property
     def exposer_count(self) -> int:
-        return sum(1 for a in self.actions if a is Action.EXPOSE)
+        return self.actions.count(Action.EXPOSE)
 
     @property
     def mask(self) -> int:

@@ -19,6 +19,9 @@ from .model import ActionProfile, Scenario
 
 OBSERVABLES = ("nash_set", "classification", "welfare_gap", "flip_margins")
 
+# Every grid point runs a full analysis, so larger grids are refused.
+MAX_GRID_POINTS = 10**5
+
 # Halving any finite float bracket reaches adjacent floats in under 2100
 # steps, so this cap is a backstop that no valid bracket hits.
 _MAX_BISECT_ITERS = 2200
@@ -45,13 +48,20 @@ class SweepSpec:
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
             if not self.values:
                 raise ScenarioError("explicit sweep values must be non-empty")
+            if len(self.values) > MAX_GRID_POINTS:
+                raise ScenarioError(
+                    f"{len(self.values)} sweep values exceed the cap of "
+                    f"{MAX_GRID_POINTS}"
+                )
         else:
             if self.lo is None or self.hi is None or self.steps is None:
                 raise ScenarioError("a sweep needs either values or lo/hi/steps")
             if not self.lo < self.hi:
                 raise ScenarioError(f"need lo < hi, got lo={self.lo}, hi={self.hi}")
-            if self.steps < 2:
-                raise ScenarioError(f"steps must be >= 2, got {self.steps}")
+            if not 2 <= self.steps <= MAX_GRID_POINTS:
+                raise ScenarioError(
+                    f"steps must lie in [2, {MAX_GRID_POINTS}], got {self.steps}"
+                )
         bad = [o for o in self.observables if o not in OBSERVABLES]
         if bad:
             raise ScenarioError(f"unknown observables {bad}; valid: {OBSERVABLES}")

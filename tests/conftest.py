@@ -99,6 +99,33 @@ def random_scenario(
     return Scenario(wards=wards, benefit=benefit, interventions=ivs)
 
 
+def repeated_costs_scenario(
+    rng: random.Random, max_n: int = 8, with_interventions: bool = False
+) -> Scenario:
+    """Asymmetric wards drawn from three dyadic cost pairs, so several wards
+    share effective costs and many deviation gains tie exactly."""
+    n = rng.randint(3, max_n)
+    pairs = [
+        (rng.choice((1.0, 1.5, 2.0, 2.5)), rng.choice((0.25, 0.5, 1.0)))
+        for _ in range(3)
+    ]
+    wards = tuple(Ward(i, *rng.choice(pairs)) for i in range(n))
+    values = [0.0]
+    for _ in range(n):
+        values.append(values[-1] + rng.choice((0.25, 0.5, 0.75, 1.0)))
+    ivs = []
+    if with_interventions:
+        if rng.random() < 0.5:
+            ivs.append(EffortReduction(rng.choice((0.0, 0.25)), rng.choice((0.0, 0.25))))
+        if rng.random() < 0.5:
+            ivs.append(Observability(p0=0.5, p_slope=0.0, penalty=rng.choice((0.5, 1.0))))
+        if rng.random() < 0.5:
+            caps = tuple(rng.choice((0.5, 1.0)) for _ in range(n))
+            ivs.append(Mechanism(caps, rng.choice(list(MechanismMode))))
+        rng.shuffle(ivs)
+    return Scenario(wards, TableBenefit(tuple(values)), tuple(ivs))
+
+
 def scan_nash(scenario: Scenario, epsilon: float = 0.0) -> list[tuple[int, bool]]:
     """(mask, strict) of every Nash profile, in mask order, found by asking
     is_nash about each of the 2^N profiles. It evaluates payoffs directly, so

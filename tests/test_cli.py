@@ -186,6 +186,56 @@ class TestEpsilon:
         assert captured.out == ""
 
 
+class TestIntegrationBounds:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dt", float("nan")),
+            ("dt", 0.0),
+            ("dt", -0.01),
+            ("t_end", float("nan")),
+            ("t_end", -1.0),
+            ("t_end", float("inf")),
+        ],
+    )
+    def test_bad_options_step_exits_2(self, key, value, tmp_path, capsys):
+        doc = s0_doc()
+        doc["options"] = {key: value}
+        path = write_scenario(tmp_path, doc)
+        assert main(["dynamics", str(path), "--initial", "0.5", "--replicator"]) == 2
+        captured = capsys.readouterr()
+        assert f"options.{key}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--dt", "nan"], "--dt"),
+            (["--dt", "0"], "--dt"),
+            (["--t-end", "-1"], "--t-end"),
+            (["--t-end", "inf"], "--t-end"),
+            (["--dt", "1e-300", "--t-end", "1"], "--t-end / --dt"),
+            (["--dt", "1e-7"], "options.t_end / --dt"),
+        ],
+    )
+    def test_bad_step_flags_exit_2(self, flags, named, capsys):
+        scenario = str(SCENARIOS / "v0_veto.json")
+        argv = ["dynamics", scenario, "--initial", "0.5", "--replicator"]
+        assert main([*argv, *flags]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("steps", ["1", "100001", "100000000"])
+    def test_sweep_steps_out_of_range_exit_2(self, steps, capsys):
+        argv = ["sweep", str(SCENARIOS / "s0_observability.json"),
+                "--path", "interventions[0].penalty", "--lo", "0", "--hi", "2"]
+        assert main([*argv, "--steps", steps]) == 2
+        captured = capsys.readouterr()
+        assert "--steps" in captured.err
+        assert captured.out == ""
+
+
 class TestDynamics:
     def test_trace_csv(self, capsys):
         assert main(

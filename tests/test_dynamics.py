@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from wardgames import (
     expected_payoffs_by_strategy,
     integrate_replicator,
     is_nash,
+    payoff_tables,
     symmetric_scenario,
 )
 from conftest import random_scenario
@@ -215,6 +217,38 @@ class TestReplicator:
         wards = (Ward(0, 2.0, 1.0), Ward(1, 3.0, 1.0))
         with pytest.raises(ScenarioError):
             integrate_replicator(Scenario(wards, LinearBenefit(0.3)), 0.5)
+
+    @pytest.mark.parametrize(
+        "dt, t_end",
+        [(math.nan, 50.0), (math.inf, 50.0), (0.01, math.nan), (0.01, math.inf),
+         (1e-300, 1.0), (1e-6, 1.01)],
+    )
+    def test_bad_or_unbounded_step_rejected(self, s0, dt, t_end):
+        # ceil(t_end / dt) RK4 steps above MAX_RK4_STEPS are refused at once
+        with pytest.raises(ScenarioError):
+            integrate_replicator(s0, 0.5, t_end=t_end, dt=dt)
+
+    def test_steps_at_the_cap_accepted(self, s0, monkeypatch):
+        import wardgames.dynamics as dynamics
+
+        monkeypatch.setattr(dynamics, "MAX_RK4_STEPS", 100)
+        result = integrate_replicator(s0, 0.5, t_end=1.0, dt=0.01)
+        assert len(result.trajectory) == 101
+        with pytest.raises(ScenarioError):
+            integrate_replicator(s0, 0.5, t_end=1.0, dt=0.0099)
+
+    def test_tables_built_once(self, v0, monkeypatch):
+        import wardgames.dynamics as dynamics
+
+        calls = []
+
+        def counting(scenario):
+            calls.append(scenario)
+            return payoff_tables(scenario)
+
+        monkeypatch.setattr(dynamics, "payoff_tables", counting)
+        integrate_replicator(v0, 0.5)
+        assert len(calls) == 1
 
     def test_huge_dt_raises_numerical_error(self):
         # a violently scaled veto game makes RK4 overshoot [0, 1] at dt = 10

@@ -14,6 +14,7 @@ from wardgames import (
     EffortReduction,
     LinearBenefit,
     Mechanism,
+    MechanismMode,
     Observability,
     ResourceLimitError,
     Scenario,
@@ -28,7 +29,7 @@ from wardgames import (
     symmetric_scenario,
     welfare,
 )
-from conftest import nash_list, random_scenario, scan_nash
+from conftest import nash_list, random_scenario, repeated_costs_scenario, scan_nash
 
 
 def nash_set(report):
@@ -128,7 +129,9 @@ class TestEnumerate:
             scanned = scan_nash(s)
             assert nash_list(report) == scanned
             if scanned:
-                best = max(welfare(s, ActionProfile.from_mask(m, s.n)) for m, _ in scanned)
+                best = max(
+                    welfare(s, ActionProfile.from_mask(m, s.n)) for m, _ in scanned
+                )
                 assert report.welfare_gap == report.welfare_optimum[1] - best
             else:
                 assert report.welfare_gap is None
@@ -184,6 +187,65 @@ class TestEnumerate:
             assert nash_set(a) == nash_set(b)
             assert a.dominant_strategy == b.dominant_strategy
             assert a.classification is b.classification
+
+
+class TestWelfare:
+    def test_optimum_matches_welfare_scan(self):
+        # the first maximiser in mask order of a 2^N welfare() scan
+        rng = random.Random(73)
+        for trial in range(60):
+            if trial % 3 == 0:
+                s = repeated_costs_scenario(rng, with_interventions=True)
+            else:
+                s = random_scenario(rng, max_n=8, symmetric=trial % 3 == 1)
+            cap = rng.uniform(0.0, max(w.cost_expose for w in s.wards))
+            for mode in MechanismMode:
+                ivs = s.interventions + (Mechanism(cap, mode),)
+                m = Scenario(s.wards, s.benefit, ivs)
+                best_mask, best_w = 0, None
+                for mask in range(1 << m.n):
+                    w = welfare(m, ActionProfile.from_mask(mask, m.n))
+                    if best_w is None or w > best_w:
+                        best_mask, best_w = mask, w
+                opt_profile, opt_w = enumerate_nash(m).welfare_optimum
+                assert (opt_profile.mask, opt_w) == (best_mask, best_w)
+
+    def test_gap_matches_best_scanned_nash(self):
+        rng = random.Random(79)
+        for trial in range(60):
+            if trial % 2:
+                s = random_scenario(
+                    rng, max_n=8, symmetric=False, with_interventions=True
+                )
+            else:
+                s = repeated_costs_scenario(rng, with_interventions=True)
+            for eps in (0.0, rng.uniform(0.01, 0.3)):
+                report = enumerate_nash(s, epsilon=eps)
+                scanned = scan_nash(s, eps)
+                if not scanned:
+                    assert report.welfare_gap is None
+                    continue
+                best = max(
+                    welfare(s, ActionProfile.from_mask(m, s.n)) for m, _ in scanned
+                )
+                assert report.welfare_gap == report.welfare_optimum[1] - best
+
+    def test_enumerate_calls_welfare_at_most_twice(self, monkeypatch):
+        import wardgames.equilibrium as equilibrium
+
+        calls = []
+
+        def counting(scenario, profile):
+            calls.append(profile)
+            return welfare(scenario, profile)
+
+        monkeypatch.setattr(equilibrium, "welfare", counting)
+        rng = random.Random(83)
+        for _ in range(20):
+            s = repeated_costs_scenario(rng, with_interventions=True)
+            calls.clear()
+            report = enumerate_nash(s, epsilon=rng.choice((0.0, 0.25)))
+            assert len(calls) == (1 if report.welfare_gap is None else 2)
 
 
 class TestFlipConditions:

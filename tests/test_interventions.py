@@ -25,7 +25,7 @@ from wardgames import (
     symmetric_scenario,
     welfare,
 )
-from conftest import random_scenario
+from conftest import random_scenario, repeated_costs_scenario
 
 
 def all_profiles(n):
@@ -240,8 +240,12 @@ class TestComposition:
 
     def test_tables_match_effective_payoff(self):
         rng = random.Random(31)
-        for _ in range(20):
-            s = random_scenario(rng, with_interventions=True)
+        scenarios = [random_scenario(rng, with_interventions=True) for _ in range(20)]
+        # wards repeating a cost pair read one shared row
+        scenarios += [
+            repeated_costs_scenario(rng, with_interventions=True) for _ in range(20)
+        ]
+        for s in scenarios:
             tables = payoff_tables(s)
             for p in all_profiles(s.n)[:: max(1, (1 << s.n) // 16)]:
                 k = p.exposer_count
@@ -252,6 +256,22 @@ class TestComposition:
                         tables.expose[i][j] if a is Action.EXPOSE else tables.buffer[i][j]
                     )
                     assert effective_payoff(s, p, i) == expected
+
+
+    def test_identical_wards_share_one_row(self):
+        s = symmetric_scenario(
+            6, 2.0, 1.0, LinearBenefit(0.3), (Observability(0.5, 0.2, 1.0),)
+        )
+        tables = payoff_tables(s)
+        assert all(row is tables.expose[0] for row in tables.expose)
+        assert all(row is tables.buffer[0] for row in tables.buffer)
+        # signed zeros are equal but round apart, so they get their own rows
+        wards = (Ward(0, 0.0, 0.0), Ward(1, -0.0, 0.0), Ward(2, 0.0, 0.0))
+        zeros = payoff_tables(Scenario(wards, LinearBenefit(-0.0)))
+        assert zeros.expose[0] is zeros.expose[2]
+        assert zeros.expose[0] is not zeros.expose[1]
+        assert str(zeros.expose[0][0]) == "-0.0"
+        assert str(zeros.expose[1][0]) == "0.0"
 
 
 class TestSymmetryDetection:

@@ -24,6 +24,7 @@ from wardgames import (
     sweep_parameter,
     symmetric_scenario,
 )
+from wardgames.sweep import MAX_GRID_POINTS
 
 
 def obs_scenario(penalty=1.4, p0=0.5):
@@ -158,6 +159,13 @@ class TestSweep:
             SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=1)
         with pytest.raises(ScenarioError):
             SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=5, observables=("bogus",))
+
+    def test_grid_capped(self):
+        SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=MAX_GRID_POINTS)
+        with pytest.raises(ScenarioError):
+            SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=MAX_GRID_POINTS + 1)
+        with pytest.raises(ScenarioError):
+            SweepSpec(parameter_path="x", values=[0.0] * (MAX_GRID_POINTS + 1))
 
 
 class TestCriticalThreshold:
