@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .dynamics import (
     MAX_RK4_STEPS,
@@ -36,7 +39,6 @@ from .equilibrium import (
 from .errors import BracketError, ScenarioError
 from .interventions import (
     EffortReduction,
-    Intervention,
     Mechanism,
     MechanismMode,
     Observability,
@@ -79,8 +81,23 @@ class RunOptions:
 
 
 # ----------------------------------------------------------------------
-# Scenario file parsing (strict)
+# Scenario documents (strict): the dataclass fields are the schema
 # ----------------------------------------------------------------------
+
+_BENEFIT_KINDS = {
+    "linear": LinearBenefit,
+    "threshold": ThresholdBenefit,
+    "concave": ConcaveBenefit,
+    "table": TableBenefit,
+}
+_INTERVENTION_KINDS = {
+    "effort": EffortReduction,
+    "observability": Observability,
+    "mechanism": Mechanism,
+}
+_KIND_NAMES = {
+    cls: kind for kinds in (_BENEFIT_KINDS, _INTERVENTION_KINDS) for kind, cls in kinds.items()
+}
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -88,7 +105,8 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ScenarioError(f"{path}: {message}")
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
+def _check_keys(obj: Any, allowed: typing.AbstractSet[str],
+                required: typing.AbstractSet[str], path: str) -> None:
     _require(isinstance(obj, dict), path, "expected an object")
     unknown = sorted(set(obj) - allowed)
     _require(not unknown, path, f"unknown keys {unknown}; allowed: {sorted(allowed)}")
@@ -96,24 +114,94 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
     _require(not missing, path, f"missing required keys {missing}")
 
 
-def _number(obj: dict, key: str, path: str) -> float:
-    v = obj[key]
-    _require(
-        isinstance(v, (int, float)) and not isinstance(v, bool),
-        f"{path}.{key}",
-        f"expected a number, got {v!r}",
-    )
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(v: Any, path: str) -> float:
+    _require(_is_number(v), path, f"expected a number, got {v!r}")
     return float(v)
 
 
-def _integer(obj: dict, key: str, path: str) -> int:
-    v = obj[key]
-    _require(
-        isinstance(v, int) and not isinstance(v, bool),
-        f"{path}.{key}",
-        f"expected an integer, got {v!r}",
-    )
+def _integer(v: Any, path: str) -> int:
+    _require(_is_number(v) and isinstance(v, int), path, f"expected an integer, got {v!r}")
     return v
+
+
+def _numbers(v: list, path: str, count: int, expected: str) -> tuple[float, ...]:
+    _require(len(v) == count, path, f"expected {expected}, got {len(v)}")
+    return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+
+def _benefit_values(v: Any, path: str, n: int) -> tuple[float, ...]:
+    """A number list alone is a benefit table, B(0) .. B(n)."""
+    _require(isinstance(v, list), path, "expected a list")
+    return _numbers(v, path, n + 1, f"exactly {n + 1} entries for {n} wards")
+
+
+def _per_ward(v: Any, path: str, n: int) -> float | tuple[float, ...]:
+    """One number for every ward, or a list of one per ward."""
+    if isinstance(v, list):
+        return _numbers(v, path, n, f"{n} per-ward entries")
+    _require(_is_number(v), path, f"expected a number or list, got {v!r}")
+    return float(v)
+
+
+def _mode(v: Any, path: str) -> MechanismMode:
+    values = [m.value for m in MechanismMode]
+    _require(v in values, path, f"expected {' or '.join(map(repr, values))}, got {v!r}")
+    return MechanismMode(v)
+
+
+# how a document value is checked and converted, by the field's annotation
+_COERCE: dict[Any, Callable[[Any, str, int], Any]] = {
+    float: lambda v, path, n: _number(v, path),
+    int: lambda v, path, n: _integer(v, path),
+    tuple[float, ...]: _benefit_values,
+    float | tuple[float, ...]: _per_ward,
+    MechanismMode: lambda v, path, n: _mode(v, path),
+}
+
+
+@functools.cache
+def _schema(cls: type, omit: tuple[str, ...] = ()) -> tuple[tuple, frozenset, frozenset]:
+    """((name, coerce) per field in declaration order, allowed keys,
+    required keys) of the document form of `cls`.
+
+    Fields in `omit` are not document keys; a class with a kind also takes
+    `kind`. A field is required when it has no default, or when its
+    metadata says that documents must give it.
+    """
+    hints = typing.get_type_hints(cls)
+    doc = [f for f in fields(cls) if f.name not in omit]
+    required = {f.name for f in doc if f.metadata.get("required")
+                or (f.default is MISSING and f.default_factory is MISSING)}
+    allowed = {f.name for f in doc} | ({"kind"} if cls in _KIND_NAMES else set())
+    coerce = tuple((f.name, _COERCE[hints[f.name]]) for f in doc)
+    return coerce, frozenset(allowed), frozenset(required)
+
+
+def _field_values(cls: type, obj: Any, path: str, n: int, omit: tuple[str, ...] = ()) -> dict:
+    """Checked constructor arguments of `cls` from a document object."""
+    coerce, allowed, required = _schema(cls, omit)
+    _check_keys(obj, allowed, required, path)
+    return {k: conv(obj[k], f"{path}.{k}", n) for k, conv in coerce if k in obj}
+
+
+def _build(cls: type, path: str, **kwargs: Any) -> Any:
+    """cls(**kwargs); a failed check of the class itself names `path`."""
+    try:
+        return cls(**kwargs)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+
+
+def _parse_kind(kinds: dict[str, type], obj: Any, path: str, n: int) -> Any:
+    _require(isinstance(obj, dict), path, "expected an object")
+    kind = obj.get("kind")
+    ok = isinstance(kind, str) and kind in kinds
+    _require(ok, f"{path}.kind", f"expected one of {'/'.join(kinds)}, got {kind!r}")
+    return _build(kinds[kind], path, **_field_values(kinds[kind], obj, path, n))
 
 
 def _nonnegative(value: float, path: str) -> float:
@@ -134,18 +222,17 @@ def _positive(value: float, path: str) -> float:
     return value
 
 
-def _parse_wards(doc: dict, n: int) -> tuple[Ward, ...]:
-    spec = doc["wards"]
+def _at_least_one(value: int, path: str) -> int:
+    _require(value >= 1, path, f"expected an integer >= 1, got {value!r}")
+    return value
+
+
+def _parse_wards(spec: Any, n: int) -> tuple[Ward, ...]:
+    """A ward's id is its position, never a document key."""
     if isinstance(spec, dict):
         _check_keys(spec, {"symmetric"}, {"symmetric"}, "wards")
-        sym = spec["symmetric"]
-        _check_keys(
-            sym, {"cost_expose", "cost_buffer"}, {"cost_expose", "cost_buffer"},
-            "wards.symmetric",
-        )
-        ce = _number(sym, "cost_expose", "wards.symmetric")
-        cb = _number(sym, "cost_buffer", "wards.symmetric")
-        return tuple(Ward(i, ce, cb) for i in range(n))
+        costs = _field_values(Ward, spec["symmetric"], "wards.symmetric", n, ("id",))
+        return tuple(_build(Ward, "wards.symmetric", id=i, **costs) for i in range(n))
     _require(isinstance(spec, list), "wards", "expected an object or a list")
     _require(
         len(spec) == n, "wards", f"expected {n} entries (n_wards), got {len(spec)}"
@@ -153,121 +240,8 @@ def _parse_wards(doc: dict, n: int) -> tuple[Ward, ...]:
     wards = []
     for i, w in enumerate(spec):
         path = f"wards[{i}]"
-        _check_keys(
-            w, {"cost_expose", "cost_buffer"}, {"cost_expose", "cost_buffer"}, path
-        )
-        wards.append(Ward(i, _number(w, "cost_expose", path), _number(w, "cost_buffer", path)))
+        wards.append(_build(Ward, path, id=i, **_field_values(Ward, w, path, n, ("id",))))
     return tuple(wards)
-
-
-def _parse_benefit(doc: dict, n: int) -> Any:
-    b = doc["benefit"]
-    _require(isinstance(b, dict), "benefit", "expected an object")
-    kind = b.get("kind")
-    if kind == "linear":
-        _check_keys(b, {"kind", "beta_per_exposer"}, {"kind", "beta_per_exposer"}, "benefit")
-        return LinearBenefit(_number(b, "beta_per_exposer", "benefit"))
-    if kind == "threshold":
-        _check_keys(b, {"kind", "tau", "beta"}, {"kind", "tau", "beta"}, "benefit")
-        return ThresholdBenefit(_integer(b, "tau", "benefit"), _number(b, "beta", "benefit"))
-    if kind == "concave":
-        _check_keys(b, {"kind", "beta", "gamma"}, {"kind", "beta", "gamma"}, "benefit")
-        return ConcaveBenefit(_number(b, "beta", "benefit"), _number(b, "gamma", "benefit"))
-    if kind == "table":
-        _check_keys(b, {"kind", "values"}, {"kind", "values"}, "benefit")
-        vals = b["values"]
-        _require(isinstance(vals, list), "benefit.values", "expected a list")
-        _require(
-            len(vals) == n + 1,
-            "benefit.values",
-            f"expected exactly {n + 1} entries for {n} wards, got {len(vals)}",
-        )
-        for i, v in enumerate(vals):
-            _require(
-                isinstance(v, (int, float)) and not isinstance(v, bool),
-                f"benefit.values[{i}]",
-                f"expected a number, got {v!r}",
-            )
-        return TableBenefit(tuple(float(v) for v in vals))
-    raise ScenarioError(
-        f"benefit.kind: expected one of linear/threshold/concave/table, got {kind!r}"
-    )
-
-
-def _parse_intervention(iv: dict, idx: int, n: int) -> Intervention:
-    path = f"interventions[{idx}]"
-    _require(isinstance(iv, dict), path, "expected an object")
-    kind = iv.get("kind")
-    if kind == "effort":
-        _check_keys(iv, {"kind", "delta_expose", "delta_buffer"}, {"kind"}, path)
-        return EffortReduction(
-            delta_expose=_number(iv, "delta_expose", path) if "delta_expose" in iv else 0.0,
-            delta_buffer=_number(iv, "delta_buffer", path) if "delta_buffer" in iv else 0.0,
-        )
-    if kind == "observability":
-        _check_keys(iv, {"kind", "p0", "p_slope", "penalty"}, {"kind", "p0", "penalty"}, path)
-        return Observability(
-            p0=_number(iv, "p0", path),
-            p_slope=_number(iv, "p_slope", path) if "p_slope" in iv else 0.0,
-            penalty=_number(iv, "penalty", path),
-        )
-    if kind == "mechanism":
-        _check_keys(
-            iv, {"kind", "capped_cost_expose", "mode"}, {"kind", "capped_cost_expose"}, path
-        )
-        caps = iv["capped_cost_expose"]
-        if isinstance(caps, list):
-            _require(
-                len(caps) == n,
-                f"{path}.capped_cost_expose",
-                f"expected {n} per-ward entries, got {len(caps)}",
-            )
-            for i, v in enumerate(caps):
-                _require(
-                    isinstance(v, (int, float)) and not isinstance(v, bool),
-                    f"{path}.capped_cost_expose[{i}]",
-                    f"expected a number, got {v!r}",
-                )
-            caps_val: Any = tuple(float(v) for v in caps)
-        else:
-            _require(
-                isinstance(caps, (int, float)) and not isinstance(caps, bool),
-                f"{path}.capped_cost_expose",
-                f"expected a number or list, got {caps!r}",
-            )
-            caps_val = float(caps)
-        mode = iv.get("mode", "absorb")
-        _require(
-            mode in ("absorb", "redistribute"),
-            f"{path}.mode",
-            f"expected 'absorb' or 'redistribute', got {mode!r}",
-        )
-        return Mechanism(capped_cost_expose=caps_val, mode=MechanismMode(mode))
-    raise ScenarioError(
-        f"{path}.kind: expected one of effort/observability/mechanism, got {kind!r}"
-    )
-
-
-def _parse_options(doc: dict) -> RunOptions:
-    if "options" not in doc:
-        return RunOptions()
-    o = doc["options"]
-    allowed = {"epsilon", "rng_seed", "dt", "t_end", "max_iters"}
-    _check_keys(o, allowed, set(), "options")
-    kwargs: dict[str, Any] = {}
-    if "epsilon" in o:
-        kwargs["epsilon"] = _nonnegative(
-            _number(o, "epsilon", "options"), "options.epsilon"
-        )
-    if "rng_seed" in o:
-        kwargs["rng_seed"] = _integer(o, "rng_seed", "options")
-    if "dt" in o:
-        kwargs["dt"] = _positive(_number(o, "dt", "options"), "options.dt")
-    if "t_end" in o:
-        kwargs["t_end"] = _nonnegative(_number(o, "t_end", "options"), "options.t_end")
-    if "max_iters" in o:
-        kwargs["max_iters"] = _integer(o, "max_iters", "options")
-    return RunOptions(**kwargs)
 
 
 def parse_scenario_document(doc: dict) -> tuple[Scenario, RunOptions]:
@@ -278,17 +252,25 @@ def parse_scenario_document(doc: dict) -> tuple[Scenario, RunOptions]:
         {"n_wards", "wards", "benefit"},
         "document",
     )
-    n = _integer(doc, "n_wards", "document")
+    n = _integer(doc["n_wards"], "document.n_wards")
     _require(n >= 2, "n_wards", f"need at least 2 wards, got {n}")
-    wards = _parse_wards(doc, n)
-    benefit = _parse_benefit(doc, n)
+    wards = _parse_wards(doc["wards"], n)
+    benefit = _parse_kind(_BENEFIT_KINDS, doc["benefit"], "benefit", n)
     ivs_doc = doc.get("interventions", [])
     _require(isinstance(ivs_doc, list), "interventions", "expected a list")
     interventions = tuple(
-        _parse_intervention(iv, i, n) for i, iv in enumerate(ivs_doc)
+        _parse_kind(_INTERVENTION_KINDS, iv, f"interventions[{i}]", n)
+        for i, iv in enumerate(ivs_doc)
     )
-    scenario = Scenario(wards=wards, benefit=benefit, interventions=interventions)
-    return scenario, _parse_options(doc)
+    scenario = _build(
+        Scenario, "document", wards=wards, benefit=benefit, interventions=interventions
+    )
+    options = RunOptions(**_field_values(RunOptions, doc.get("options", {}), "options", n))
+    _nonnegative(options.epsilon, "options.epsilon")
+    _positive(options.dt, "options.dt")
+    _nonnegative(options.t_end, "options.t_end")
+    _at_least_one(options.max_iters, "options.max_iters")
+    return scenario, options
 
 
 def load_scenario_document(path: str | Path) -> tuple[Scenario, RunOptions]:
@@ -308,63 +290,31 @@ def load_scenario(path: str | Path) -> Scenario:
     return load_scenario_document(path)[0]
 
 
+def _document(obj: Any, *omit: str) -> dict:
+    """The fields of `obj` in declaration order, led by its kind if it has
+    one; tuples become lists and enums their values."""
+    cls = type(obj)
+    out: dict[str, Any] = {"kind": _KIND_NAMES[cls]} if cls in _KIND_NAMES else {}
+    for name, _ in _schema(cls, omit)[0]:
+        v = getattr(obj, name)
+        if isinstance(v, tuple):
+            v = list(v)
+        elif isinstance(v, Enum):
+            v = v.value
+        out[name] = v
+    return out
+
+
 def scenario_to_dict(scenario: Scenario, options: RunOptions | None = None) -> dict:
     """Resolved, round-trippable document form of a scenario."""
     out: dict[str, Any] = {
         "n_wards": scenario.n,
-        "wards": [
-            {"cost_expose": w.cost_expose, "cost_buffer": w.cost_buffer}
-            for w in scenario.wards
-        ],
+        "wards": [_document(w, "id") for w in scenario.wards],
+        "benefit": _document(scenario.benefit),
+        "interventions": [_document(iv) for iv in scenario.interventions],
     }
-    b = scenario.benefit
-    if isinstance(b, LinearBenefit):
-        out["benefit"] = {"kind": "linear", "beta_per_exposer": b.beta_per_exposer}
-    elif isinstance(b, ThresholdBenefit):
-        out["benefit"] = {"kind": "threshold", "tau": b.tau, "beta": b.beta}
-    elif isinstance(b, ConcaveBenefit):
-        out["benefit"] = {"kind": "concave", "beta": b.beta, "gamma": b.gamma}
-    else:
-        assert isinstance(b, TableBenefit)
-        out["benefit"] = {"kind": "table", "values": list(b.values)}
-    ivs = []
-    for iv in scenario.interventions:
-        if isinstance(iv, EffortReduction):
-            ivs.append(
-                {
-                    "kind": "effort",
-                    "delta_expose": iv.delta_expose,
-                    "delta_buffer": iv.delta_buffer,
-                }
-            )
-        elif isinstance(iv, Observability):
-            ivs.append(
-                {
-                    "kind": "observability",
-                    "p0": iv.p0,
-                    "p_slope": iv.p_slope,
-                    "penalty": iv.penalty,
-                }
-            )
-        else:
-            assert isinstance(iv, Mechanism)
-            caps = iv.capped_cost_expose
-            ivs.append(
-                {
-                    "kind": "mechanism",
-                    "capped_cost_expose": list(caps) if isinstance(caps, tuple) else caps,
-                    "mode": iv.mode.value,
-                }
-            )
-    out["interventions"] = ivs
     if options is not None:
-        out["options"] = {
-            "epsilon": options.epsilon,
-            "rng_seed": options.rng_seed,
-            "dt": options.dt,
-            "t_end": options.t_end,
-            "max_iters": options.max_iters,
-        }
+        out["options"] = _document(options)
     return out
 
 
@@ -661,10 +611,12 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         try:
             x0 = float(args.initial)
         except ValueError:
+            x0 = math.nan
+        if not 0.0 <= x0 <= 1.0:
             raise ScenarioError(
                 f"--initial must be a share in [0, 1] with --replicator, got "
                 f"{args.initial!r}"
-            ) from None
+            )
         t_end, t_path = options.t_end, "options.t_end"
         if args.t_end is not None:
             t_end, t_path = _nonnegative(args.t_end, "--t-end"), "--t-end"
@@ -694,7 +646,11 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         scenario,
         profile,
         schedule=args.schedule,
-        max_iters=args.max_iters if args.max_iters is not None else options.max_iters,
+        max_iters=(
+            options.max_iters
+            if args.max_iters is None
+            else _at_least_one(args.max_iters, "--max-iters")
+        ),
         tie_break=args.tie_break,
         seed=seed,
         epsilon=_run_epsilon(args, options),
@@ -737,26 +693,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the field a canonical sweep varies, and its bracket [0, scale * max c(E)]
+_CANONICAL_SWEEPS = {
+    EffortReduction: ("delta_expose", 2.0),
+    Observability: ("penalty", 4.0),
+    Mechanism: ("capped_cost_expose", 1.0),
+}
+
+
 def _canonical_sweeps(scenario: Scenario) -> list[tuple[int, str, str, float, float]]:
     """(index, kind, parameter path, lo, hi) for each sweepable intervention."""
     max_ce = max(w.cost_expose for w in scenario.wards)
     out = []
     for i, iv in enumerate(scenario.interventions):
-        if isinstance(iv, EffortReduction):
-            out.append((i, "effort", f"interventions[{i}].delta_expose", 0.0, 2.0 * max_ce))
-        elif isinstance(iv, Observability):
-            out.append((i, "observability", f"interventions[{i}].penalty", 0.0, 4.0 * max_ce))
-        elif isinstance(iv, Mechanism):
-            if isinstance(iv.capped_cost_expose, tuple):
-                print(
-                    f"note: skipping canonical sweep for interventions[{i}] "
-                    "(per-ward caps)",
-                    file=sys.stderr,
-                )
-                continue
-            out.append(
-                (i, "mechanism", f"interventions[{i}].capped_cost_expose", 0.0, max_ce)
+        if isinstance(iv, Mechanism) and isinstance(iv.capped_cost_expose, tuple):
+            print(
+                f"note: skipping canonical sweep for interventions[{i}] "
+                "(per-ward caps)",
+                file=sys.stderr,
             )
+            continue
+        name, scale = _CANONICAL_SWEEPS[type(iv)]
+        path = f"interventions[{i}].{name}"
+        out.append((i, _KIND_NAMES[type(iv)], path, 0.0, scale * max_ce))
     return out
 
 

@@ -10,7 +10,7 @@ and effort deltas stack additively across repeated interventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
@@ -50,7 +50,8 @@ class Observability:
 
     p0: float
     p_slope: float = 0.0
-    penalty: float = 0.0
+    # scenario documents must state the penalty; only the library defaults it
+    penalty: float = field(default=0.0, metadata={"required": True})
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.p0) or not 0 <= self.p0 <= 1:

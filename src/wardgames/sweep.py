@@ -9,7 +9,7 @@ at which a named equilibrium predicate flips.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Callable
 
 from .errors import BracketError, ScenarioError
@@ -84,65 +84,59 @@ def _tokens(path: str) -> list[tuple[str, int | None]]:
     return out
 
 
-def get_by_path(scenario: Scenario, path: str) -> float:
-    """Resolve a dotted path to the numeric field it names."""
+def _resolve(
+    scenario: Scenario, path: str
+) -> tuple[list[tuple[Any, str, int | None]], Any]:
+    """The (object, field, index) steps a path takes from the scenario, and
+    the numeric value it names. Every segment must be a dataclass field."""
+    steps = []
     obj: Any = scenario
     for name, idx in _tokens(path):
-        if not hasattr(obj, name):
-            raise ScenarioError(f"parameter path {path!r}: no field {name!r} on {type(obj).__name__}")
+        if not is_dataclass(obj) or name not in {f.name for f in fields(obj)}:
+            raise ScenarioError(
+                f"parameter path {path!r}: no field {name!r} on {type(obj).__name__}"
+            )
+        steps.append((obj, name, idx))
         obj = getattr(obj, name)
         if idx is not None:
-            if not isinstance(obj, (tuple, list)):
+            if not isinstance(obj, tuple):
                 raise ScenarioError(f"parameter path {path!r}: {name!r} is not indexable")
             if idx >= len(obj):
                 raise ScenarioError(f"parameter path {path!r}: index {idx} out of range")
             obj = obj[idx]
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"parameter path {path!r} does not name a numeric field")
-    return obj
+    return steps, obj
+
+
+def get_by_path(scenario: Scenario, path: str) -> float:
+    """Resolve a dotted path to the numeric field it names."""
+    return _resolve(scenario, path)[1]
 
 
 def set_by_path(scenario: Scenario, path: str, value: float) -> Scenario:
     """Return a new scenario with the addressed field replaced.
 
-    Integer fields (e.g. a threshold tau) only accept whole values.
+    Integer fields (e.g. a threshold tau) only accept whole values. Every
+    object on the path is rebuilt with `replace`, so its checks run again.
     """
-
-    def build(obj: Any, toks: list[tuple[str, int | None]]) -> Any:
-        if not toks:
-            if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-                raise ScenarioError(
-                    f"parameter path {path!r} does not name a numeric field"
-                )
-            if isinstance(obj, int):
-                if float(value) != int(value):
-                    raise ScenarioError(
-                        f"parameter path {path!r} names an integer field; "
-                        f"got {value}"
-                    )
-                return int(value)
-            return float(value)
-        name, idx = toks[0]
-        if not is_dataclass(obj) or not hasattr(obj, name):
+    steps, leaf = _resolve(scenario, path)
+    new: Any = float(value)
+    if isinstance(leaf, int):
+        if not new.is_integer():
             raise ScenarioError(
-                f"parameter path {path!r}: no field {name!r} on {type(obj).__name__}"
+                f"parameter path {path!r} names an integer field; got {value}"
             )
-        child = getattr(obj, name)
-        if idx is not None:
-            if not isinstance(child, (tuple, list)):
-                raise ScenarioError(f"parameter path {path!r}: {name!r} is not indexable")
-            if idx >= len(child):
-                raise ScenarioError(f"parameter path {path!r}: index {idx} out of range")
-            new_elem = build(child[idx], toks[1:])
-            new_child: Any = tuple(
-                new_elem if j == idx else e for j, e in enumerate(child)
-            )
-        else:
-            new_child = build(child, toks[1:])
-        return replace(obj, **{name: new_child})
-
-    get_by_path(scenario, path)  # fail fast with a clear message
-    return build(scenario, _tokens(path))
+        new = int(new)
+    try:
+        for obj, name, idx in reversed(steps):
+            if idx is not None:
+                items = getattr(obj, name)
+                new = items[:idx] + (new,) + items[idx + 1:]
+            new = replace(obj, **{name: new})
+    except ScenarioError as exc:
+        raise ScenarioError(f"parameter path {path!r}: {exc}") from None
+    return new
 
 
 def _pole_margins(scenario: Scenario) -> list[float]:

@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import json
+import random
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from wardgames import LinearBenefit, Scenario, ScenarioError, symmetric_scenario
+from wardgames import (
+    LinearBenefit,
+    Mechanism,
+    MechanismMode,
+    Scenario,
+    ScenarioError,
+    symmetric_scenario,
+)
 from wardgames import cli
 from wardgames.cli import (
     RunOptions,
@@ -19,7 +29,10 @@ from wardgames.cli import (
     scenario_to_dict,
 )
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from conftest import random_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -78,6 +91,39 @@ class TestLoadScenario:
         again, _ = parse_scenario_document(doc)
         assert again == scenario
 
+    def test_round_trip_property(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            scenario = random_scenario(rng, with_interventions=True)
+            if rng.random() < 0.5:
+                caps = tuple(rng.uniform(0.0, 3.0) for _ in range(scenario.n))
+                mech = Mechanism(caps, rng.choice(list(MechanismMode)))
+                scenario = replace(scenario, interventions=scenario.interventions + (mech,))
+            options = RunOptions()
+            if rng.random() < 0.7:
+                options = RunOptions(
+                    epsilon=rng.uniform(0.0, 0.1),
+                    rng_seed=rng.randrange(10**6),
+                    dt=rng.uniform(1e-3, 0.1),
+                    t_end=rng.uniform(0.0, 100.0),
+                    max_iters=rng.randint(1, 10**5),
+                )
+            doc = scenario_to_dict(scenario, options)
+            again = parse_scenario_document(doc)
+            assert again == (scenario, options)
+            assert parse_scenario_document(json.loads(json.dumps(doc))) == again
+            assert json.dumps(scenario_to_dict(*again)) == json.dumps(doc)
+
+    def test_readme_schema_block_parses(self):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        scenario, options = parse_scenario_document(json.loads(re.sub(r"//.*", "", block)))
+        assert scenario.n == 4
+        assert [type(iv).__name__ for iv in scenario.interventions] == [
+            "EffortReduction", "Observability", "Mechanism"
+        ]
+        assert options == RunOptions()
+
     def test_explicit_ward_list(self, tmp_path):
         doc = s0_doc()
         doc["wards"] = [
@@ -130,6 +176,133 @@ class TestLoadScenario:
         path = write_scenario(tmp_path, doc)
         assert main(["analyze", str(path)]) == 0
         assert "asymmetry" in capsys.readouterr().err
+
+
+_DROP = object()
+_WARD = {"cost_expose": 2.0, "cost_buffer": 1.0}
+_BAD_MODE = "expected 'absorb' or 'redistribute'"
+
+# (top-level overrides of s0_doc, exact error line); _DROP removes the key
+MALFORMED = [
+    ({"extra": 1}, "document: unknown keys ['extra']; allowed: "
+     "['benefit', 'interventions', 'n_wards', 'options', 'wards']"),
+    ({"benefit": _DROP}, "document: missing required keys ['benefit']"),
+    ({"n_wards": True}, "document.n_wards: expected an integer, got True"),
+    ({"n_wards": 1}, "n_wards: need at least 2 wards, got 1"),
+    ({"wards": "x"}, "wards: expected an object or a list"),
+    ({"wards": [_WARD] * 2}, "wards: expected 4 entries (n_wards), got 2"),
+    ({"wards": {"symmetric": {**_WARD, "cost": 1.0}}},
+     "wards.symmetric: unknown keys ['cost']; allowed: ['cost_buffer', 'cost_expose']"),
+    ({"wards": {"symmetric": {**_WARD, "cost_expose": "2"}}},
+     "wards.symmetric.cost_expose: expected a number, got '2'"),
+    ({"wards": [_WARD] * 3 + [{"cost_expose": 2.0}]},
+     "wards[3]: missing required keys ['cost_buffer']"),
+    ({"wards": [_WARD] * 3 + [{**_WARD, "cost_buffer": True}]},
+     "wards[3].cost_buffer: expected a number, got True"),
+    ({"benefit": [1]}, "benefit: expected an object"),
+    ({"benefit": {"kind": "quadratic", "beta": 1.0}},
+     "benefit.kind: expected one of linear/threshold/concave/table, got 'quadratic'"),
+    ({"benefit": {"kind": ["linear"], "beta_per_exposer": 0.3}},
+     "benefit.kind: expected one of linear/threshold/concave/table, got ['linear']"),
+    ({"benefit": {"kind": "linear", "beta_per_exposer": 0.3, "beta": 1.0}},
+     "benefit: unknown keys ['beta']; allowed: ['beta_per_exposer', 'kind']"),
+    ({"benefit": {"kind": "threshold", "tau": 2}},
+     "benefit: missing required keys ['beta']"),
+    ({"benefit": {"kind": "threshold", "tau": 2.0, "beta": 1.0}},
+     "benefit.tau: expected an integer, got 2.0"),
+    ({"benefit": {"kind": "threshold", "tau": True, "beta": 1.0}},
+     "benefit.tau: expected an integer, got True"),
+    ({"benefit": {"kind": "concave", "beta": 1.0, "gamma": "0.5"}},
+     "benefit.gamma: expected a number, got '0.5'"),
+    ({"benefit": {"kind": "table", "values": [0.0, 1.0, 2.0]}},
+     "benefit.values: expected exactly 5 entries for 4 wards, got 3"),
+    ({"benefit": {"kind": "table", "values": 1.0}}, "benefit.values: expected a list"),
+    ({"benefit": {"kind": "table", "values": [0.0, False, 1.0, 2.0, 3.0]}},
+     "benefit.values[1]: expected a number, got False"),
+    ({"interventions": {"kind": "effort"}}, "interventions: expected a list"),
+    ({"interventions": [3]}, "interventions[0]: expected an object"),
+    ({"interventions": [{"kind": "nudge"}]},
+     "interventions[0].kind: expected one of effort/observability/mechanism, got 'nudge'"),
+    ({"interventions": [{"kind": "effort", "delta_expose": 0.1, "oops": 2}]},
+     "interventions[0]: unknown keys ['oops']; allowed: "
+     "['delta_buffer', 'delta_expose', 'kind']"),
+    ({"interventions": [{"kind": "observability", "p0": 0.5}]},
+     "interventions[0]: missing required keys ['penalty']"),
+    ({"interventions": [{"kind": "observability", "p0": True, "penalty": 1.0}]},
+     "interventions[0].p0: expected a number, got True"),
+    ({"interventions": [{"kind": "mechanism", "mode": "absorb"}]},
+     "interventions[0]: missing required keys ['capped_cost_expose']"),
+    ({"interventions": [{"kind": "mechanism", "capped_cost_expose": [1.0, 1.0]}]},
+     "interventions[0].capped_cost_expose: expected 4 per-ward entries, got 2"),
+    ({"interventions": [{"kind": "mechanism", "capped_cost_expose": "1.2"}]},
+     "interventions[0].capped_cost_expose: expected a number or list, got '1.2'"),
+    ({"interventions": [{"kind": "mechanism", "capped_cost_expose": [1.0, 1.0, None, 1.0]}]},
+     "interventions[0].capped_cost_expose[2]: expected a number, got None"),
+    ({"interventions": [{"kind": "mechanism", "capped_cost_expose": 1.2, "mode": "share"}]},
+     f"interventions[0].mode: {_BAD_MODE}, got 'share'"),
+    ({"interventions": [{"kind": "mechanism", "capped_cost_expose": 1.2, "mode": ["absorb"]}]},
+     f"interventions[0].mode: {_BAD_MODE}, got ['absorb']"),
+    ({"options": []}, "options: expected an object"),
+    ({"options": {"seed": 1}}, "options: unknown keys ['seed']; allowed: "
+     "['dt', 'epsilon', 'max_iters', 'rng_seed', 't_end']"),
+    ({"options": {"rng_seed": 1.5}}, "options.rng_seed: expected an integer, got 1.5"),
+    ({"options": {"max_iters": False}}, "options.max_iters: expected an integer, got False"),
+    ({"options": {"epsilon": "0"}}, "options.epsilon: expected a number, got '0'"),
+]
+
+
+def error_line(tmp_path: Path, capsys, doc: dict) -> str:
+    """The whole stderr of `analyze` on a document that must exit 2."""
+    assert main(["analyze", str(write_scenario(tmp_path, doc))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+class TestSchema:
+    @pytest.mark.parametrize("overrides, line", MALFORMED)
+    def test_malformed_document_error_line(self, overrides, line, tmp_path, capsys):
+        doc = s0_doc()
+        for key, value in overrides.items():
+            if value is _DROP:
+                del doc[key]
+            else:
+                doc[key] = value
+        assert error_line(tmp_path, capsys, doc) == f"error: {line}\n"
+
+
+    @pytest.mark.parametrize(
+        "overrides, line",
+        [
+            ({"benefit": {"kind": "linear", "beta_per_exposer": -1}},
+             "benefit: beta_per_exposer must be finite and >= 0"),
+            ({"benefit": {"kind": "threshold", "tau": 0, "beta": 1.0}},
+             "benefit: tau must be an integer >= 1, got 0"),
+            ({"benefit": {"kind": "concave", "beta": 1.0, "gamma": 2}},
+             "benefit: gamma must lie in (0, 1], got 2.0"),
+            ({"benefit": {"kind": "table", "values": [0.0, 1.0, float("inf"), 2.0, 3.0]}},
+             "benefit: benefit table entry 2 is not finite: inf"),
+            ({"interventions": [{"kind": "effort", "delta_buffer": -1}]},
+             "interventions[0]: delta_buffer must be finite and >= 0, got -1.0"),
+            ({"interventions": [{"kind": "observability", "p0": 0.5, "penalty": -1}]},
+             "interventions[0]: penalty must be finite and >= 0, got -1.0"),
+            ({"interventions": [
+                {"kind": "effort"},
+                {"kind": "mechanism", "capped_cost_expose": [1.0, -1.0, 1.0, 1.0]},
+            ]},
+             "interventions[1]: capped_cost_expose entries must be finite and >= 0, "
+             "got -1.0"),
+            ({"wards": {"symmetric": {**_WARD, "cost_buffer": -1}}},
+             "wards.symmetric: ward 0: cost_buffer must be finite and >= 0, got -1.0"),
+            ({"wards": [_WARD] * 3 + [{**_WARD, "cost_expose": float("nan")}]},
+             "wards[3]: ward 3: cost_expose must be finite and >= 0, got nan"),
+            ({"benefit": {"kind": "threshold", "tau": 5, "beta": 1.0}},
+             "document: threshold tau must lie in [1, 4], got 5"),
+        ],
+    )
+    def test_value_error_names_its_path(self, overrides, line, tmp_path, capsys):
+        doc = {**s0_doc(), **overrides}
+        assert error_line(tmp_path, capsys, doc) == f"error: {line}\n"
 
 
 class TestAnalyze:
@@ -224,6 +397,30 @@ class TestIntegrationBounds:
         assert main([*argv, *flags]) == 2
         captured = capsys.readouterr()
         assert named in captured.err
+        assert captured.out == ""
+
+    def test_bad_options_max_iters_exits_2(self, tmp_path, capsys):
+        doc = {**s0_doc(), "options": {"max_iters": 0}}
+        assert error_line(tmp_path, capsys, doc) == (
+            "error: options.max_iters: expected an integer >= 1, got 0\n"
+        )
+
+    def test_bad_max_iters_flag_exits_2(self, capsys):
+        argv = ["dynamics", str(SCENARIOS / "s0_baseline.json"), "--initial", "EEEE"]
+        assert main([*argv, "--max-iters", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --max-iters: expected an integer >= 1, got -3\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("initial", ["nan", "-0.5", "1.5", "half"])
+    def test_bad_replicator_initial_exits_2(self, initial, capsys):
+        argv = ["dynamics", str(SCENARIOS / "v0_veto.json"), "--replicator"]
+        assert main([*argv, "--initial", initial]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --initial must be a share in [0, 1] with --replicator, "
+            f"got {initial!r}\n"
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize("steps", ["1", "100001", "100000000"])
@@ -349,6 +546,24 @@ class TestSweep:
             ]
         ) == 2
         assert "interventions[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--critical", "--predicate", "all_buffer_not_nash"]])
+    @pytest.mark.parametrize(
+        "scenario, path, lo, line",
+        [
+            ("s0_baseline", "n", "2", "parameter path 'n': no field 'n' on Scenario"),
+            ("s0_observability", "interventions[0].penalty", "-1",
+             "parameter path 'interventions[0].penalty': "
+             "penalty must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_path_or_value_exits_2(self, mode, scenario, path, lo, line, capsys):
+        argv = ["sweep", str(SCENARIOS / f"{scenario}.json"), "--path", path,
+                "--lo", lo, "--hi", "4", "--steps", "3", *mode]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {line}\n"
+        assert captured.out == ""
 
     def test_bracket_failure_exits_1(self, capsys):
         assert main(

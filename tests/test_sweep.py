@@ -58,8 +58,9 @@ class TestParameterPaths:
     def test_integer_field_accepts_whole_values_only(self, v0):
         s2 = set_by_path(v0, "benefit.tau", 3.0)
         assert s2.benefit.tau == 3
-        with pytest.raises(ScenarioError):
-            set_by_path(v0, "benefit.tau", 2.5)
+        for value in (2.5, float("nan"), float("inf")):
+            with pytest.raises(ScenarioError, match="integer field"):
+                set_by_path(v0, "benefit.tau", value)
 
     def test_unresolvable_path_names_the_path(self, s0):
         with pytest.raises(ScenarioError, match="interventions\\[0\\]"):
@@ -67,13 +68,23 @@ class TestParameterPaths:
         with pytest.raises(ScenarioError, match="nope"):
             set_by_path(s0, "benefit.nope", 1.0)
 
+    def test_segments_must_be_fields(self, s0):
+        # `n` is a property: readable, but replace() cannot set it
+        for resolve in (get_by_path, lambda s, p: set_by_path(s, p, 3.0)):
+            with pytest.raises(ScenarioError, match="no field 'n' on Scenario"):
+                resolve(s0, "n")
+            with pytest.raises(ScenarioError, match="no field 'benefit_at' on Scenario"):
+                resolve(s0, "benefit_at")
+
     def test_non_numeric_leaf_rejected(self, s0):
         with pytest.raises(ScenarioError):
             get_by_path(s0, "wards[0]")
 
-    def test_invalid_values_still_validated(self, s0):
-        with pytest.raises(ScenarioError):
+    def test_invalid_values_still_validated(self, s0, v0):
+        with pytest.raises(ScenarioError, match="'wards\\[0\\].cost_expose': ward 0"):
             set_by_path(s0, "wards[0].cost_expose", -1.0)
+        with pytest.raises(ScenarioError, match="'benefit.tau': threshold tau must lie"):
+            set_by_path(v0, "benefit.tau", 5.0)
 
 
 class TestSweep:
