@@ -59,6 +59,7 @@ from .sweep import (
     SweepSpec,
     ThresholdResult,
     critical_threshold,
+    normalize_predicate,
     sweep_parameter,
 )
 
@@ -67,6 +68,11 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+
+# Larger n_wards is refused before any ward is built: the symmetric shorthand
+# builds one Ward per declared ward (10^6 took 4.9 s and 224 MB), and no
+# analysis here is useful at that size.
+MAX_WARDS = 10**5
 
 
 @dataclass(frozen=True)
@@ -188,10 +194,10 @@ def _field_values(cls: type, obj: Any, path: str, n: int, omit: tuple[str, ...] 
     return {k: conv(obj[k], f"{path}.{k}", n) for k, conv in coerce if k in obj}
 
 
-def _build(cls: type, path: str, **kwargs: Any) -> Any:
-    """cls(**kwargs); a failed check of the class itself names `path`."""
+def _build(make: Callable[..., Any], path: str, **kwargs: Any) -> Any:
+    """make(**kwargs), a class or a parser; a check it fails names `path`."""
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 
@@ -254,6 +260,7 @@ def parse_scenario_document(doc: dict) -> tuple[Scenario, RunOptions]:
     )
     n = _integer(doc["n_wards"], "document.n_wards")
     _require(n >= 2, "n_wards", f"need at least 2 wards, got {n}")
+    _require(n <= MAX_WARDS, "n_wards", f"at most {MAX_WARDS} wards are supported, got {n}")
     wards = _parse_wards(doc["wards"], n)
     benefit = _parse_kind(_BENEFIT_KINDS, doc["benefit"], "benefit", n)
     ivs_doc = doc.get("interventions", [])
@@ -640,7 +647,9 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return EXIT_OK
-    profile = ActionProfile.from_string(args.initial)
+    profile = _build(ActionProfile.from_string, "--initial", text=args.initial)
+    _require(len(profile) == scenario.n, "--initial",
+             f"initial profile length {len(profile)} does not match {scenario.n} wards")
     seed = args.seed if args.seed is not None else options.rng_seed
     trace = best_response_dynamics(
         scenario,
@@ -666,11 +675,13 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario, options, _ = _load_with_diagnostics(args.scenario)
     epsilon = _run_epsilon(args, options)
+    _require(args.lo < args.hi, "--lo/--hi", f"need lo < hi, got lo={args.lo}, hi={args.hi}")
     if args.critical:
         if not args.predicate:
             raise ScenarioError("--critical requires --predicate")
+        predicate = _build(normalize_predicate, "--predicate", name=args.predicate)
         result = critical_threshold(
-            scenario, args.path, args.lo, args.hi, args.predicate, epsilon=epsilon
+            scenario, args.path, args.lo, args.hi, predicate, epsilon=epsilon
         )
         doc = threshold_result_dict(result, scenario, options, args.path)
         _write_output(_dump_json(doc), args.out)
@@ -681,7 +692,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"expected an integer in [2, {MAX_GRID_POINTS}], got {args.steps}",
     )
     observables = tuple(args.observables.split(","))
-    spec = SweepSpec(
+    # lo, hi and steps are checked above, so only the observables can fail here
+    spec = _build(
+        SweepSpec,
+        "--observables",
         parameter_path=args.path,
         lo=args.lo,
         hi=args.hi,

@@ -19,11 +19,12 @@ from .model import Action, ActionProfile, Scenario
 SCHEDULES = ("round_robin", "random")
 TIE_BREAKS = ("stay", "expose", "buffer")
 
-_FIXED_POINT_GRID = 1024
-_BISECT_TOL = 1e-12
-
 # ceil(t_end / dt) above this is refused: the trajectory is kept in memory.
 MAX_RK4_STEPS = 10**6
+
+# The binomial weights C(N - 1, j) of the expected payoffs must fit a float;
+# C(1030, 515) does not.
+MAX_REPLICATOR_WARDS = 1030
 
 
 class TraceTerminal(Enum):
@@ -62,7 +63,8 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class Basin:
-    """Interval of initial shares flowing to `attractor` (a stable point)."""
+    """Interval of initial shares flowing to `attractor`: a Stable point, or
+    a semi-stable Boundary point (a tangent root) approached from one side."""
 
     lo: float
     hi: float
@@ -196,16 +198,27 @@ def expected_payoffs_by_strategy(scenario: Scenario, x: float) -> tuple[float, f
     """Population-level (u_E, u_B) when each opponent exposes w.p. x.
 
     Opponent exposer counts are Binomial(N-1, x); payoffs are the effective
-    (post-intervention) ones. Requires identical wards.
+    (post-intervention) ones. Requires identical wards, at most 1030 of them.
     """
-    if not is_symmetric(scenario):
-        raise ScenarioError(
-            "expected payoffs need identical wards; use best_response_dynamics "
-            "for asymmetric scenarios"
-        )
+    tables = _replicator_tables(scenario)
     if not 0.0 <= x <= 1.0:
         raise ScenarioError(f"population share x must lie in [0, 1], got {x}")
-    return _expected_payoffs(payoff_tables(scenario), x)
+    return _expected_payoffs(tables, x)
+
+
+def _replicator_tables(scenario: Scenario) -> PayoffTables:
+    """The payoff tables of identical wards, at most MAX_REPLICATOR_WARDS."""
+    if not is_symmetric(scenario):
+        raise ScenarioError(
+            "replicator dynamics need identical wards; use best_response_dynamics "
+            "for asymmetric scenarios"
+        )
+    if scenario.n > MAX_REPLICATOR_WARDS:
+        raise ScenarioError(
+            f"replicator dynamics support at most {MAX_REPLICATOR_WARDS} wards, "
+            f"got {scenario.n}: C(N - 1, j) would overflow a float"
+        )
+    return payoff_tables(scenario)
 
 
 def _expected_payoffs(tables: PayoffTables, x: float) -> tuple[float, float]:
@@ -228,91 +241,73 @@ def _strategy_gain(tables: PayoffTables, x: float) -> float:
     return u_e - u_b
 
 
-def _interior_fixed_points(tables: PayoffTables) -> list[float]:
-    """Grid-scan u_E - u_B for sign changes, then bisect each bracket."""
-    g = _strategy_gain
-    xs = [i / _FIXED_POINT_GRID for i in range(_FIXED_POINT_GRID + 1)]
-    vals = [g(tables, x) for x in xs]
-    roots: list[float] = []
-    for i in range(_FIXED_POINT_GRID):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0 and 0.0 < a < 1.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            while b - a > _BISECT_TOL:
-                mid = 0.5 * (a + b)
-                fm = g(tables, mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if (fa < 0.0) == (fm < 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            roots.append(0.5 * (a + b))
-    deduped: list[float] = []
-    for r in roots:
-        if not 0.0 < r < 1.0:
-            continue
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
-    return deduped
+def _split(c: list[float]) -> tuple[list[float], list[float]]:
+    """de Casteljau at t = 1/2: the Bernstein coefficients of both halves."""
+    left, right = [c[0]], [c[-1]]
+    while len(c) > 1:
+        c = [0.5 * (u + v) for u, v in zip(c, c[1:])]
+        left.append(c[0])
+        right.append(c[-1])
+    return left, right[::-1]
 
 
-def _classify(tables: PayoffTables, points: list[float]) -> list[FixedPoint]:
-    """Stability from the flow sign on each side of every fixed point.
+def _phase_portrait(tables: PayoffTables) -> tuple[list[FixedPoint], list[Basin]]:
+    """Fixed points, stability and basins from the Bernstein form of the gain,
+    u_E(x) - u_B(x) = sum_j g_j C(m, j) x^j (1 - x)^(m - j) with m = N - 1 and
+    g_j the gain to expose against j exposing others.
 
-    Sign-preserving degeneracies (flat flow, tangency roots) are Boundary.
+    de Casteljau subdivision at midpoints isolates the roots in (0, 1). By
+    Descartes' rule, coefficients with no sign change mean no root, and one
+    change one simple root, bisected on the gain itself to adjacent floats.
+    An exact zero at a midpoint is a fixed point; where no float is left to
+    split at, the unresolved roots are one point. So a tangent root at a
+    dyadic point is one Boundary point; elsewhere rounding decides: the gain
+    (x - 1/3)^2 from rounded g_j gives one Boundary point an ulp from 1/3,
+    but another tangent root may split into a Stable and an Unstable point
+    or vanish. Stability and basins use only the signs the isolation saw.
+    With every g_j zero nothing moves: 0 and 1 are Boundary, with no basins.
     """
-    segs = []
-    for lo, hi in zip(points[:-1], points[1:]):
-        val = _strategy_gain(tables, 0.5 * (lo + hi))
-        segs.append(0.0 if val == 0.0 else math.copysign(1.0, val))
-    out = []
-    for idx, x in enumerate(points):
-        left = segs[idx - 1] if idx > 0 else None
-        right = segs[idx] if idx < len(segs) else None
-        if left is None:  # x = 0, only the right side exists
-            stab = (
-                Stability.STABLE
-                if right < 0.0
-                else Stability.UNSTABLE
-                if right > 0.0
-                else Stability.BOUNDARY
-            )
-        elif right is None:  # x = 1
-            stab = (
-                Stability.STABLE
-                if left > 0.0
-                else Stability.UNSTABLE
-                if left < 0.0
-                else Stability.BOUNDARY
-            )
-        elif left > 0.0 and right < 0.0:
-            stab = Stability.STABLE
-        elif left < 0.0 and right > 0.0:
-            stab = Stability.UNSTABLE
-        else:
-            stab = Stability.BOUNDARY
-        out.append(FixedPoint(x=x, stability=stab))
-    return out
-
-
-def _basins(tables: PayoffTables, fixed: list[FixedPoint]) -> list[Basin]:
-    points = [fp.x for fp in fixed]
-    basins: list[Basin] = []
-    for lo, hi in zip(points[:-1], points[1:]):
-        val = _strategy_gain(tables, 0.5 * (lo + hi))
-        if val == 0.0:
+    g = [e - b for e, b in zip(tables.expose[0], tables.buffer[0])]
+    top = max(map(abs, g))
+    if top == 0.0:
+        return [FixedPoint(0.0, Stability.BOUNDARY), FixedPoint(1.0, Stability.BOUNDARY)], []
+    g = [math.ldexp(v, -math.frexp(top)[1]) for v in g]  # exact: no average overflows
+    points, ups = [0.0], [next(v > 0.0 for v in g if v)]  # gain > 0 right of each point
+    stack = [(0.0, 1.0, g)]
+    while stack:  # depth first, left half first: roots come out in order
+        a, b, c = stack.pop()
+        signs = [v > 0.0 for v in c if v]
+        changes = sum(s != t for s, t in zip(signs, signs[1:]))
+        mid = 0.5 * (a + b)
+        if changes > 1 and a < mid < b:
+            left, right = _split(c)
+            stack += [(mid, b, right), (a, mid, left)]
             continue
-        attractor = hi if val > 0.0 else lo
-        if basins and basins[-1].attractor == attractor and basins[-1].hi == lo:
+        if signs and c[0] == 0.0 and a > 0.0:
+            points.append(a)
+            ups.append(signs[0])
+        while changes == 1 and a < mid < b and (v := _strategy_gain(tables, mid)):
+            a, b = (mid, b) if (v > 0.0) == signs[0] else (a, mid)
+            mid = 0.5 * (a + b)
+        if changes:
+            points.append(mid)
+            ups.append(signs[-1])
+    points.append(1.0)
+    # 0 and 1 have one side each; mirroring it makes them read like interior points
+    sides = [not ups[0], *ups, not ups[-1]]
+    stability = {(True, False): Stability.STABLE, (False, True): Stability.UNSTABLE}
+    fixed = [
+        FixedPoint(x, stability.get(pair, Stability.BOUNDARY))
+        for x, pair in zip(points, zip(sides, sides[1:]))
+    ]
+    basins: list[Basin] = []
+    for lo, hi, up in zip(points, points[1:], ups):
+        attractor = hi if up else lo
+        if basins and basins[-1].attractor == attractor:
             basins[-1] = Basin(basins[-1].lo, hi, attractor)
         else:
             basins.append(Basin(lo, hi, attractor))
-    return basins
+    return fixed, basins
 
 
 def integrate_replicator(
@@ -326,8 +321,9 @@ def integrate_replicator(
 
     x = 0 and x = 1 are always fixed points. A trajectory drifting outside
     [0, 1] by more than 1e-9 raises NumericalError (dt too large); smaller
-    excursions are clamped. dt and t_end must be finite, and t_end / dt at
-    most MAX_RK4_STEPS. The payoff tables are built once.
+    excursions are clamped. dt and t_end must be finite, t_end / dt at most
+    MAX_RK4_STEPS, and N at most MAX_REPLICATOR_WARDS. The payoff tables are
+    built once.
     """
     if not 0.0 <= x0 <= 1.0:
         raise ScenarioError(f"x0 must lie in [0, 1], got {x0}")
@@ -339,9 +335,7 @@ def integrate_replicator(
         raise ScenarioError(
             f"t_end={t_end} with dt={dt} needs more than {MAX_RK4_STEPS} RK4 steps"
         )
-    if not is_symmetric(scenario):
-        raise ScenarioError("replicator dynamics require identical wards")
-    tables = payoff_tables(scenario)
+    tables = _replicator_tables(scenario)
 
     def f(x: float) -> float:
         return x * (1.0 - x) * _strategy_gain(tables, min(1.0, max(0.0, x)))
@@ -363,10 +357,7 @@ def integrate_replicator(
         x = min(1.0, max(0.0, x))
         t = t + h
         traj.append((t, x))
-    interior = _interior_fixed_points(tables)
-    points = [0.0] + interior + [1.0]
-    fixed = _classify(tables, points)
-    basins = _basins(tables, fixed)
+    fixed, basins = _phase_portrait(tables)
     return ReplicatorResult(
         trajectory=tuple(traj),
         fixed_points=tuple(fixed),

@@ -397,9 +397,6 @@ def flip_conditions(scenario: Scenario, epsilon: float = 0.0) -> FlipReport:
                 mechanism_expose_holds=m_mech >= -epsilon,
             )
         )
-    blocking = frozenset(
-        i
-        for i in range(n)
-        if t_full.buffer[i][n - 1] - t_full.expose[i][n - 1] > epsilon
+    return FlipReport(
+        wards=tuple(wards), blocking_wards=t_full.pole_deviators(True, epsilon)
     )
-    return FlipReport(wards=tuple(wards), blocking_wards=blocking)

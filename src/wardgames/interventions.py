@@ -247,6 +247,15 @@ class PayoffTables:
     def gain_to_expose(self, ward: int, k_others: int) -> float:
         return self.expose[ward][k_others] - self.buffer[ward][k_others]
 
+    def pole_deviators(self, all_expose: bool, epsilon: float) -> frozenset[int]:
+        """Wards gaining more than epsilon by leaving the all-Expose profile
+        (all-Buffer when all_expose is False); it is Nash iff there are none."""
+        j = self.n - 1 if all_expose else 0
+        rows = enumerate(zip(self.expose, self.buffer))
+        return frozenset(
+            i for i, (e, b) in rows if (b[j] - e[j] if all_expose else e[j] - b[j]) > epsilon
+        )
+
 
 def payoff_tables(scenario: Scenario) -> PayoffTables:
     """Precompute all effective payoffs; bit-identical to effective_payoff.

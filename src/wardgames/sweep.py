@@ -13,9 +13,10 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Callable
 
 from .errors import BracketError, ScenarioError
-from .equilibrium import enumerate_nash, is_nash
+from .equilibrium import enumerate_nash
+from .equilibrium import is_nash  # noqa: F401  perfbench's tracer test looks it up here
 from .interventions import is_symmetric, payoff_tables
-from .model import ActionProfile, Scenario
+from .model import Scenario
 
 OBSERVABLES = ("nash_set", "classification", "welfare_gap", "flip_margins")
 
@@ -139,13 +140,6 @@ def set_by_path(scenario: Scenario, path: str, value: float) -> Scenario:
     return new
 
 
-def _pole_margins(scenario: Scenario) -> list[float]:
-    """Per-ward expose-minus-buffer gain against everyone else buffering,
-    under the fully effective game (the canonical flip quantity)."""
-    tables = payoff_tables(scenario)
-    return [tables.gain_to_expose(i, 0) for i in range(scenario.n)]
-
-
 def sweep_parameter(
     scenario: Scenario,
     spec: SweepSpec,
@@ -167,8 +161,9 @@ def sweep_parameter(
                 row["classification"] = report.classification.value
             if "welfare_gap" in spec.observables:
                 row["welfare_gap"] = report.welfare_gap
-        if "flip_margins" in spec.observables:
-            row["flip_margins"] = _pole_margins(s)
+        if "flip_margins" in spec.observables:  # against all other wards buffering
+            tables = payoff_tables(s)
+            row["flip_margins"] = [tables.gain_to_expose(i, 0) for i in range(s.n)]
         rows.append(row)
     return rows
 
@@ -190,19 +185,12 @@ class ThresholdResult:
     true_at_high: bool
 
 
-def _pred_all_buffer_nash(s: Scenario, eps: float) -> bool:
-    return is_nash(s, ActionProfile.all_buffer(s.n), eps).is_nash
-
-
-def _pred_all_expose_nash(s: Scenario, eps: float) -> bool:
-    return is_nash(s, ActionProfile.all_expose(s.n), eps).is_nash
-
-
+# Read from the payoff tables, which are bit-identical to the is_nash oracle.
 PREDICATES: dict[str, Callable[[Scenario, float], bool]] = {
-    "all_buffer_nash": _pred_all_buffer_nash,
-    "all_buffer_not_nash": lambda s, e: not _pred_all_buffer_nash(s, e),
-    "all_expose_nash": _pred_all_expose_nash,
-    "all_expose_not_nash": lambda s, e: not _pred_all_expose_nash(s, e),
+    "all_buffer_nash": lambda s, e: not payoff_tables(s).pole_deviators(False, e),
+    "all_buffer_not_nash": lambda s, e: bool(payoff_tables(s).pole_deviators(False, e)),
+    "all_expose_nash": lambda s, e: not payoff_tables(s).pole_deviators(True, e),
+    "all_expose_not_nash": lambda s, e: bool(payoff_tables(s).pole_deviators(True, e)),
 }
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -486,6 +487,63 @@ class TestDynamics:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestFlagErrors:
+    """A bad command-line value exits 2 with a message that names its flag."""
+
+    OBS = str(SCENARIOS / "s0_observability.json")
+    S0 = str(SCENARIOS / "s0_baseline.json")
+    SWEEP = ["sweep", OBS, "--path", "interventions[0].penalty"]
+    CRITICAL = ["--critical", "--predicate", "all_buffer_not_nash"]
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (SWEEP + ["--lo", "3", "--hi", "1"],
+             "--lo/--hi: need lo < hi, got lo=3.0, hi=1.0"),
+            (SWEEP + ["--lo", "3", "--hi", "1"] + CRITICAL,
+             "--lo/--hi: need lo < hi, got lo=3.0, hi=1.0"),
+            (SWEEP + ["--lo", "0", "--hi", "1", "--observables", "bogus"],
+             "--observables: unknown observables ['bogus']; valid: "
+             "('nash_set', 'classification', 'welfare_gap', 'flip_margins')"),
+            (SWEEP + ["--lo", "0", "--hi", "1", "--critical", "--predicate", "bogus"],
+             "--predicate: unknown predicate 'bogus'; valid: ['all_buffer_nash', "
+             "'all_buffer_not_nash', 'all_expose_nash', 'all_expose_not_nash']"),
+            (["dynamics", S0, "--initial", "EEE"],
+             "--initial: initial profile length 3 does not match 4 wards"),
+            (["dynamics", S0, "--initial", "EXBB"],
+             "--initial: profile string must use only 'E' and 'B', got 'EXBB'"),
+        ],
+    )
+    def test_message_names_the_flag(self, argv, line, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {line}\n"
+        assert captured.out == ""
+
+    def test_replicator_above_1030_wards_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {**s0_doc(), "n_wards": 1031})
+        argv = ["dynamics", str(path), "--replicator", "--initial", "0.5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: replicator dynamics support at most 1030 wards, got 1031")
+
+    def test_n_wards_above_the_cap_fails_fast(self, tmp_path, capsys):
+        over = cli.MAX_WARDS + 1
+        path = write_scenario(tmp_path, {**s0_doc(), "n_wards": over})
+        start = time.perf_counter()
+        assert main(["analyze", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: n_wards: at most {cli.MAX_WARDS} wards are supported, got {over}\n"
+        )
+
+    def test_n_wards_at_the_cap_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_WARDS", 4)
+        assert parse_scenario_document(s0_doc())[0].n == 4
+        with pytest.raises(ScenarioError, match="n_wards: at most 4 wards"):
+            parse_scenario_document({**s0_doc(), "n_wards": 5})
 
 
 class TestSweep:

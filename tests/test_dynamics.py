@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -14,10 +16,12 @@ from wardgames import (
     Scenario,
     ScenarioError,
     Stability,
+    TableBenefit,
     ThresholdBenefit,
     TraceTerminal,
     Ward,
     best_response_dynamics,
+    effective_payoff,
     exact_potential,
     expected_payoffs_by_strategy,
     integrate_replicator,
@@ -28,6 +32,86 @@ from wardgames import (
 from conftest import random_scenario
 
 X_STAR = (1.0 / 3.0) ** (1.0 / 3.0)
+
+
+def gains_scenario(gains, cost=1.0):
+    """Identical wards with costs (cost, 0) and B(j + 1) - B(j) = cost + gains[j],
+    so the gain to expose against j exposing others is gains[j] up to rounding."""
+    values = list(itertools.accumulate([0.0] + [cost + g for g in gains]))
+    return symmetric_scenario(len(gains), cost, 0.0, TableBenefit(tuple(values)))
+
+
+def portrait(result):
+    return [(fp.x, fp.stability) for fp in result.fixed_points]
+
+
+def oracle_gain(scenario, x):
+    u_e, u_b = expected_payoffs_by_strategy(scenario, x)
+    return u_e - u_b
+
+
+def count_gains(scenario):
+    """Ward 0's gain to expose against j exposing others, from effective_payoff."""
+    m = scenario.n - 1
+    gains = []
+    for j in range(m + 1):
+        others = "E" * j + "B" * (m - j)
+        e = effective_payoff(scenario, ActionProfile.from_string("E" + others), 0)
+        b = effective_payoff(scenario, ActionProfile.from_string("B" + others), 0)
+        gains.append(e - b)
+    return gains
+
+
+def scan_signs(gains, xs):
+    """Sign of sum_j g_j C(m, j) x^j (1 - x)^(m - j) at each x in (0, 1), by
+    Horner's rule in t = x / (1 - x) after dividing out (1 - x)^m."""
+    m = len(gains) - 1
+    coeffs = [g * math.comb(m, j) for j, g in enumerate(gains)][::-1]
+    out = []
+    for x in xs:
+        t = x / (1.0 - x)
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * t + c
+        out.append((acc > 0.0) - (acc < 0.0))
+    return out
+
+
+def check_against_oracle(scenario, result):
+    """The portrait of `result` against expected_payoffs_by_strategy: a sign
+    change within 1e-9 of every Stable or Unstable interior point, no sign
+    change on a 4096-point scan between reported points, and stabilities and
+    basins that agree with the oracle's sign between them."""
+    points = [fp.x for fp in result.fixed_points]
+    assert points[0] == 0.0 and points[-1] == 1.0
+    assert points == sorted(points)
+    for fp in result.fixed_points[1:-1]:
+        lo = oracle_gain(scenario, max(0.0, fp.x - 1e-9))
+        hi = oracle_gain(scenario, min(1.0, fp.x + 1e-9))
+        if fp.stability is Stability.STABLE:
+            assert lo >= 0.0 >= hi, (fp, lo, hi)
+        elif fp.stability is Stability.UNSTABLE:
+            assert lo <= 0.0 <= hi, (fp, lo, hi)
+    grid = [i / 4096 for i in range(1, 4096)]
+    signs = dict(zip(grid, scan_signs(count_gains(scenario), grid)))
+    mids = []
+    for lo, hi in zip(points, points[1:]):
+        inside = {signs[x] for x in grid if lo + 1e-9 < x < hi - 1e-9}
+        assert not {-1, 1} <= inside, (lo, hi)
+        mid = oracle_gain(scenario, 0.5 * (lo + hi))
+        mids.append((mid > 0.0) - (mid < 0.0))
+    sides = [-mids[0], *mids, -mids[-1]]
+    expected = {(1, -1): Stability.STABLE, (-1, 1): Stability.UNSTABLE}
+    for fp, left, right in zip(result.fixed_points, sides, sides[1:]):
+        assert fp.stability is expected.get((left, right), Stability.BOUNDARY), fp
+    basins = []
+    for lo, hi, sign in zip(points, points[1:], mids):
+        attractor = hi if sign > 0 else lo
+        if basins and basins[-1][2] == attractor:
+            basins[-1] = (basins[-1][0], hi, attractor)
+        else:
+            basins.append((lo, hi, attractor))
+    assert [(b.lo, b.hi, b.attractor) for b in result.basins] == basins
 
 
 class TestBestResponseDynamics:
@@ -255,3 +339,94 @@ class TestReplicator:
         s = symmetric_scenario(4, 2.0, 1.0, ThresholdBenefit(tau=4, beta=4000.0))
         with pytest.raises(NumericalError):
             integrate_replicator(s, 0.9, t_end=50.0, dt=10.0)
+
+
+class TestPhasePortrait:
+    def test_two_roots_in_one_old_grid_cell(self):
+        # gains of (x - a)(x - b) in Bernstein form, plus a constant 1 in B
+        a, b = 0.5001, 0.5003
+        g = [a * b, -(a + b) / 2 + a * b, (1 - a) * (1 - b)]
+        result = integrate_replicator(gains_scenario(g), 0.5002)
+        expected = [(0.0, Stability.UNSTABLE), (a, Stability.STABLE),
+                    (b, Stability.UNSTABLE), (1.0, Stability.STABLE)]
+        assert len(result.fixed_points) == 4
+        for (x, stab), (want_x, want_stab) in zip(portrait(result), expected):
+            assert x == pytest.approx(want_x, abs=1e-9) and stab is want_stab
+        (lo1, hi1, at1), (lo2, hi2, at2) = [(q.lo, q.hi, q.attractor) for q in result.basins]
+        assert (lo1, hi2, at2) == (0.0, 1.0, 1.0)
+        assert hi1 == lo2 == pytest.approx(b, abs=1e-9)
+        assert at1 == pytest.approx(a, abs=1e-9)
+        # the gain is ~1e-8 here, so the trajectory only starts down towards a
+        assert a < result.trajectory[-1][1] < 0.5002
+
+    def test_all_zero_gains_are_stationary(self):
+        s = symmetric_scenario(4, 2.0, 1.0, LinearBenefit(1.0))
+        result = integrate_replicator(s, 0.3)
+        assert portrait(result) == [(0.0, Stability.BOUNDARY), (1.0, Stability.BOUNDARY)]
+        assert result.basins == ()
+        assert all(x == 0.3 for _, x in result.trajectory)
+
+    def test_tangent_root_at_a_dyadic_point(self):
+        result = integrate_replicator(gains_scenario([1.0, -1.0, 1.0]), 0.2)
+        assert portrait(result) == [
+            (0.0, Stability.UNSTABLE), (0.5, Stability.BOUNDARY), (1.0, Stability.STABLE)
+        ]
+        assert [(b.lo, b.hi, b.attractor) for b in result.basins] == [
+            (0.0, 0.5, 0.5), (0.5, 1.0, 1.0)
+        ]
+
+    def test_tangent_root_off_the_dyadic_grid(self):
+        # the gain is (x - 1/3)^2 up to rounding; it is reported as one point
+        a = 1.0 / 3.0
+        result = integrate_replicator(
+            gains_scenario([a * a, -a * (1 - a), (1 - a) ** 2]), 0.2, t_end=0.0
+        )
+        interior = portrait(result)[1:-1]
+        assert len(interior) == 1
+        assert interior[0][0] == pytest.approx(a, abs=1e-8)
+        assert interior[0][1] is Stability.BOUNDARY
+
+    def test_random_scenarios_against_the_oracle(self):
+        rng = random.Random(89)
+        interior = 0
+        for _ in range(200):
+            s = random_scenario(rng, max_n=16, symmetric=True, with_interventions=True)
+            result = integrate_replicator(s, 0.5, t_end=0.0)
+            check_against_oracle(s, result)
+            interior += len(result.fixed_points) - 2
+        assert interior > 20  # the draw does reach interior fixed points
+
+    @pytest.mark.parametrize("kind", ["alternating", "noise"])
+    def test_adversarial_gains_finish_fast(self, kind):
+        rng = random.Random(97)
+        if kind == "alternating":
+            gains = [(-1.0) ** j for j in range(64)]
+        else:
+            gains = [rng.choice((-1e-300, 1e-300)) for _ in range(64)]
+        s = gains_scenario(gains, cost=0.0)
+        start = time.perf_counter()
+        result = integrate_replicator(s, 0.5, t_end=0.0)
+        assert time.perf_counter() - start < 1.0
+        if kind == "alternating":  # the gain is (1 - 2x)^63
+            assert portrait(result) == [
+                (0.0, Stability.UNSTABLE), (0.5, Stability.STABLE), (1.0, Stability.UNSTABLE)
+            ]
+        else:
+            assert len(result.fixed_points) > 2
+            check_against_oracle(s, result)
+
+
+class TestReplicatorSizeLimit:
+    def test_largest_supported_size_is_accepted(self):
+        s = symmetric_scenario(1030, 2.0, 1.0, LinearBenefit(0.3))
+        u_e, u_b = expected_payoffs_by_strategy(s, 0.5)
+        assert u_e - u_b == pytest.approx(-0.7)
+
+    def test_one_more_ward_is_refused_before_integrating(self):
+        s = symmetric_scenario(1031, 2.0, 1.0, LinearBenefit(0.3))
+        with pytest.raises(ScenarioError, match="at most 1030 wards"):
+            expected_payoffs_by_strategy(s, 0.5)
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError, match="at most 1030 wards"):
+            integrate_replicator(s, 0.5)
+        assert time.perf_counter() - start < 1.0

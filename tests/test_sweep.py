@@ -9,6 +9,7 @@ import time
 import pytest
 
 from wardgames import (
+    ActionProfile,
     BracketError,
     EffortReduction,
     LinearBenefit,
@@ -19,12 +20,16 @@ from wardgames import (
     SweepSpec,
     ThresholdBenefit,
     critical_threshold,
+    effective_payoff,
     get_by_path,
+    is_nash,
     set_by_path,
     sweep_parameter,
     symmetric_scenario,
 )
-from wardgames.sweep import MAX_GRID_POINTS
+from wardgames.sweep import MAX_GRID_POINTS, PREDICATES
+
+from conftest import random_scenario, repeated_costs_scenario
 
 
 def obs_scenario(penalty=1.4, p0=0.5):
@@ -306,3 +311,23 @@ class TestCriticalThreshold:
             critical_threshold(
                 s, "interventions[0].capped_cost_expose", 0.0, 2.0, "all_expose_nash"
             )
+
+
+class TestPredicates:
+    def test_predicates_equal_their_is_nash_form(self):
+        rng = random.Random(101)
+        for trial in range(200):
+            if trial % 4 == 3:
+                s = repeated_costs_scenario(rng, with_interventions=True)
+            else:
+                s = random_scenario(rng, symmetric=trial % 2 == 0, with_interventions=True)
+            poles = {"buffer": ActionProfile.all_buffer(s.n),
+                     "expose": ActionProfile.all_expose(s.n)}
+            epsilon = (0.0, rng.uniform(0.0, 0.5))[trial % 3 == 1]
+            if trial % 3 == 2:  # exactly one pole gain: the tie must not count
+                expose = poles["expose"]
+                dev = expose.with_action(0, expose.actions[0].flipped())
+                epsilon = abs(effective_payoff(s, dev, 0) - effective_payoff(s, expose, 0))
+            for name, pred in PREDICATES.items():
+                nash = is_nash(s, poles[name.split("_")[1]], epsilon).is_nash
+                assert pred(s, epsilon) == (nash != name.endswith("_not_nash")), (name, s)
