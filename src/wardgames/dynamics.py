@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NumericalError, ScenarioError
-from .interventions import PayoffTables, is_symmetric, payoff_tables
+from .interventions import payoff_tables
 from .model import Action, ActionProfile, Scenario
 
 SCHEDULES = ("round_robin", "random")
@@ -25,6 +25,9 @@ MAX_RK4_STEPS = 10**6
 # The binomial weights C(N - 1, j) of the expected payoffs must fit a float;
 # C(1030, 515) does not.
 MAX_REPLICATOR_WARDS = 1030
+
+# Ward 0's payoffs for exposing and for buffering, per count of exposing others.
+Rows = tuple[list[float], list[float]]
 
 
 class TraceTerminal(Enum):
@@ -171,25 +174,19 @@ def exact_potential(scenario: Scenario, profile: ActionProfile) -> float:
     because payoffs are count-based with ward-separable costs; sequential
     best-response moves therefore cannot cycle.
     """
-    from .interventions import buffering_penalty, effective_costs
-
     n = scenario.n
     if len(profile) != n:
         raise ScenarioError(
             f"profile length {len(profile)} does not match {n} wards"
         )
-    k = profile.exposer_count
+    tables = payoff_tables(scenario)
+    benefit, penalty = tables.benefit, tables.penalty
     phi = math.fsum(
-        scenario.benefit_at(j + 1)
-        - scenario.benefit_at(j)
-        + buffering_penalty(scenario, j, n)
-        for j in range(k)
+        benefit[j + 1] - benefit[j] + penalty[j] for j in range(profile.exposer_count)
     )
-    costs = effective_costs(scenario)
+    ce, cb = tables.cost_expose, tables.cost_buffer
     phi -= math.fsum(
-        costs[i][0] - costs[i][1]
-        for i, a in enumerate(profile.actions)
-        if a is Action.EXPOSE
+        ce[i] - cb[i] for i, a in enumerate(profile.actions) if a is Action.EXPOSE
     )
     return phi
 
@@ -198,33 +195,37 @@ def expected_payoffs_by_strategy(scenario: Scenario, x: float) -> tuple[float, f
     """Population-level (u_E, u_B) when each opponent exposes w.p. x.
 
     Opponent exposer counts are Binomial(N-1, x); payoffs are the effective
-    (post-intervention) ones. Requires identical wards, at most 1030 of them.
+    (post-intervention) ones. Requires wards with identical effective costs,
+    at most 1030 of them.
     """
-    tables = _replicator_tables(scenario)
+    rows = _replicator_tables(scenario)
     if not 0.0 <= x <= 1.0:
         raise ScenarioError(f"population share x must lie in [0, 1], got {x}")
-    return _expected_payoffs(tables, x)
+    return _expected_payoffs(rows, x)
 
 
-def _replicator_tables(scenario: Scenario) -> PayoffTables:
-    """The payoff tables of identical wards, at most MAX_REPLICATOR_WARDS."""
-    if not is_symmetric(scenario):
+def _replicator_tables(scenario: Scenario) -> Rows:
+    """Ward 0's expose and buffer payoffs per count of exposing others, for
+    wards with identical effective costs, at most MAX_REPLICATOR_WARDS."""
+    tables = payoff_tables(scenario)
+    if not tables.symmetric:
         raise ScenarioError(
             "replicator dynamics need identical wards; use best_response_dynamics "
             "for asymmetric scenarios"
         )
-    if scenario.n > MAX_REPLICATOR_WARDS:
+    n = scenario.n
+    if n > MAX_REPLICATOR_WARDS:
         raise ScenarioError(
             f"replicator dynamics support at most {MAX_REPLICATOR_WARDS} wards, "
-            f"got {scenario.n}: C(N - 1, j) would overflow a float"
+            f"got {n}: C(N - 1, j) would overflow a float"
         )
-    return payoff_tables(scenario)
+    return [tables.expose(0, j) for j in range(n)], [tables.buffer(0, j) for j in range(n)]
 
 
-def _expected_payoffs(tables: PayoffTables, x: float) -> tuple[float, float]:
+def _expected_payoffs(rows: Rows, x: float) -> tuple[float, float]:
     """(u_E, u_B) of ward 0 against Binomial(N-1, x) exposing opponents."""
-    m = tables.n - 1
-    expose, buffer = tables.expose[0], tables.buffer[0]
+    expose, buffer = rows
+    m = len(expose) - 1
     u_e = 0.0
     u_b = 0.0
     for j in range(m + 1):
@@ -236,8 +237,8 @@ def _expected_payoffs(tables: PayoffTables, x: float) -> tuple[float, float]:
     return u_e, u_b
 
 
-def _strategy_gain(tables: PayoffTables, x: float) -> float:
-    u_e, u_b = _expected_payoffs(tables, x)
+def _strategy_gain(rows: Rows, x: float) -> float:
+    u_e, u_b = _expected_payoffs(rows, x)
     return u_e - u_b
 
 
@@ -251,7 +252,7 @@ def _split(c: list[float]) -> tuple[list[float], list[float]]:
     return left, right[::-1]
 
 
-def _phase_portrait(tables: PayoffTables) -> tuple[list[FixedPoint], list[Basin]]:
+def _phase_portrait(rows: Rows) -> tuple[list[FixedPoint], list[Basin]]:
     """Fixed points, stability and basins from the Bernstein form of the gain,
     u_E(x) - u_B(x) = sum_j g_j C(m, j) x^j (1 - x)^(m - j) with m = N - 1 and
     g_j the gain to expose against j exposing others.
@@ -267,7 +268,7 @@ def _phase_portrait(tables: PayoffTables) -> tuple[list[FixedPoint], list[Basin]
     or vanish. Stability and basins use only the signs the isolation saw.
     With every g_j zero nothing moves: 0 and 1 are Boundary, with no basins.
     """
-    g = [e - b for e, b in zip(tables.expose[0], tables.buffer[0])]
+    g = [e - b for e, b in zip(*rows)]
     top = max(map(abs, g))
     if top == 0.0:
         return [FixedPoint(0.0, Stability.BOUNDARY), FixedPoint(1.0, Stability.BOUNDARY)], []
@@ -286,7 +287,7 @@ def _phase_portrait(tables: PayoffTables) -> tuple[list[FixedPoint], list[Basin]
         if signs and c[0] == 0.0 and a > 0.0:
             points.append(a)
             ups.append(signs[0])
-        while changes == 1 and a < mid < b and (v := _strategy_gain(tables, mid)):
+        while changes == 1 and a < mid < b and (v := _strategy_gain(rows, mid)):
             a, b = (mid, b) if (v > 0.0) == signs[0] else (a, mid)
             mid = 0.5 * (a + b)
         if changes:
@@ -335,10 +336,10 @@ def integrate_replicator(
         raise ScenarioError(
             f"t_end={t_end} with dt={dt} needs more than {MAX_RK4_STEPS} RK4 steps"
         )
-    tables = _replicator_tables(scenario)
+    rows = _replicator_tables(scenario)
 
     def f(x: float) -> float:
-        return x * (1.0 - x) * _strategy_gain(tables, min(1.0, max(0.0, x)))
+        return x * (1.0 - x) * _strategy_gain(rows, min(1.0, max(0.0, x)))
 
     traj = [(0.0, x0)]
     x = x0
@@ -357,7 +358,7 @@ def integrate_replicator(
         x = min(1.0, max(0.0, x))
         t = t + h
         traj.append((t, x))
-    fixed, basins = _phase_portrait(tables)
+    fixed, basins = _phase_portrait(rows)
     return ReplicatorResult(
         trajectory=tuple(traj),
         fixed_points=tuple(fixed),

@@ -18,12 +18,10 @@ from .errors import ResourceLimitError, ScenarioError
 from .interventions import (
     EffortReduction,
     Mechanism,
-    MechanismMode,
     Observability,
     PayoffTables,
     effective_payoff,
     payoff_tables,
-    resolved_mechanism,
 )
 from .model import Action, ActionProfile, Scenario, welfare
 
@@ -163,24 +161,29 @@ def _deviation_masks(
     strictly lose (breaks strictness).
     """
     n = tables.n
+    benefit, penalty = tables.benefit, tables.penalty
     bad_e = [0] * (n + 1)
     bad_b = [0] * (n + 1)
     weak_e = [0] * (n + 1)
     weak_b = [0] * (n + 1)
-    # wards sharing both payoff rows (equal effective costs) share every check
-    groups: dict[tuple[int, int], list] = {}
-    for i, rows in enumerate(zip(tables.expose, tables.buffer)):
-        groups.setdefault((id(rows[0]), id(rows[1])), [rows, 0])[1] |= 1 << i
-    for (expose, buffer), bits in groups.values():
-        for j in range(n):
+    # wards with equal effective costs share every check
+    groups: dict[tuple[float, float], int] = {}
+    for i, costs in enumerate(zip(tables.cost_expose, tables.cost_buffer)):
+        groups[costs] = groups.get(costs, 0) | 1 << i
+    shared = list(groups.items())
+    for j in range(n):
+        b_up, b_j, p_j = benefit[j + 1], benefit[j], penalty[j]
+        for (ce, cb), bits in shared:
+            expose = b_up - ce
+            buffer = (b_j - cb) - p_j
             # k = j + 1 exposers, one of them leaving
-            gain = buffer[j] - expose[j]
+            gain = buffer - expose
             if gain > epsilon:
                 bad_e[j + 1] |= bits
             if gain >= -epsilon:
                 weak_e[j + 1] |= bits
             # k = j exposers, a buffering ward joining them
-            gain = expose[j] - buffer[j]
+            gain = expose - buffer
             if gain > epsilon:
                 bad_b[j] |= bits
             if gain >= -epsilon:
@@ -256,9 +259,7 @@ def _dominant_strategies(
 
 
 def _welfare_search(
-    scenario: Scenario,
-    tables: PayoffTables,
-    plan: list[tuple[int, int, int, int]],
+    tables: PayoffTables, plan: list[tuple[int, int, int, int]]
 ) -> tuple[int, int | None]:
     """Masks of the welfare optimum and of the best Nash profile (None when
     the plan is empty), without scanning all 2^N profiles.
@@ -272,17 +273,14 @@ def _welfare_search(
     matching the first maximiser a mask-ordered scan would find.
     """
     n = tables.n
-    expose, buffer = tables.expose, tables.buffer
-    caps, mode = resolved_mechanism(scenario)
-    charge = None
-    if caps is not None and mode is MechanismMode.REDISTRIBUTE:
-        charge = [w.cost_expose - caps[w.id] for w in scenario.wards]
-    offset = charge or [0.0] * n
+    benefit, penalty = tables.benefit, tables.penalty
+    ce, cb, charge = tables.cost_expose, tables.cost_buffer, tables.charge
     nash = {k: (forced, free, seats) for k, forced, free, seats in plan}
 
     def score(k: int, exposers: list[int], others: list[int]) -> float:
-        values = [expose[i][k - 1] for i in exposers]
-        values += [buffer[i][k] for i in others]
+        b_k = benefit[k]
+        values = [b_k - ce[i] for i in exposers]
+        values += [(b_k - cb[i]) - penalty[k] for i in others]  # k < n
         total = fsum(values)
         if charge is None:
             return total
@@ -293,8 +291,11 @@ def _welfare_search(
     for k in range(n + 1):
         order = list(range(n))
         if 0 < k < n:
-            key = [-(e[k - 1] - b[k] - c) for e, b, c in zip(expose, buffer, offset)]
-            order.sort(key=key.__getitem__)  # stable: ties by index
+            b_k, p_k = benefit[k], penalty[k]
+            gain = [(b_k - e) - ((b_k - b) - p_k) for e, b in zip(ce, cb)]
+            if charge is not None:
+                gain = [g - c for g, c in zip(gain, charge)]
+            order.sort(key=gain.__getitem__, reverse=True)  # ties stay in index order
         w = score(k, order[:k], order[k:])
         if best is None or w >= best[0]:
             mask = sum(1 << i for i in order[:k])
@@ -334,7 +335,7 @@ def enumerate_nash(scenario: Scenario, epsilon: float = 0.0) -> EquilibriumRepor
     masks = [m for m, _ in found]
     nash_profiles = tuple((ActionProfile.from_mask(m, n), s) for m, s in found)
     dominant = _dominant_strategies(n, bad_e, bad_b)
-    opt_mask, nash_mask = _welfare_search(scenario, tables, plan)
+    opt_mask, nash_mask = _welfare_search(tables, plan)
     opt_profile = ActionProfile.from_mask(opt_mask, n)
     opt_welfare = welfare(scenario, opt_profile)
     gap: float | None = None

@@ -136,43 +136,24 @@ def _cost_rule(scenario: Scenario) -> tuple[Mechanism | None, float, float]:
     return mech, d_e, d_b
 
 
-def resolved_mechanism(
-    scenario: Scenario,
-) -> tuple[tuple[float, ...] | None, MechanismMode | None]:
-    """Per-ward caps and mode of the governing (last) mechanism, if any."""
-    mech, _, _ = _cost_rule(scenario)
-    if mech is None:
-        return None, None
+def _cap(mech: Mechanism, ward: int) -> float:
+    """One ward's capped exposure cost under a mechanism."""
     caps = mech.capped_cost_expose
-    if isinstance(caps, tuple):
-        return caps, mech.mode
-    return (float(caps),) * scenario.n, mech.mode
+    return caps[ward] if isinstance(caps, tuple) else float(caps)
 
 
 def _ward_costs(
     scenario: Scenario, ward: int, rule: tuple[Mechanism | None, float, float]
 ) -> tuple[float, float]:
-    """One ward's (cost_expose, cost_buffer) under a `_cost_rule`."""
-    mech, d_e, d_b = rule
-    w = scenario.wards[ward]
-    if mech is None:
-        ce = w.cost_expose
-    elif isinstance(mech.capped_cost_expose, tuple):
-        ce = mech.capped_cost_expose[ward]
-    else:
-        ce = float(mech.capped_cost_expose)
-    return ce - d_e, w.cost_buffer - d_b
-
-
-def effective_costs(scenario: Scenario) -> list[tuple[float, float]]:
-    """Post-intervention (cost_expose, cost_buffer) per ward.
+    """One ward's (cost_expose, cost_buffer) under a `_cost_rule`.
 
     The last mechanism replaces the structural exposure cost; effort deltas
-    then subtract. Only cost-side transforms appear here; observability
-    penalties live on the payoff, not the cost.
+    then subtract. Observability penalties live on the payoff, not the cost.
     """
-    rule = _cost_rule(scenario)
-    return [_ward_costs(scenario, i, rule) for i in range(scenario.n)]
+    mech, d_e, d_b = rule
+    w = scenario.wards[ward]
+    ce = w.cost_expose if mech is None else _cap(mech, ward)
+    return ce - d_e, w.cost_buffer - d_b
 
 
 def buffering_penalty(scenario: Scenario, k_others: int, n: int) -> float:
@@ -206,11 +187,11 @@ def effective_payoff(scenario: Scenario, profile: ActionProfile, ward: int) -> f
 
 def system_borne_cost(scenario: Scenario, profile: ActionProfile) -> float:
     """Cost the system absorbs under a redistributing mechanism, else 0."""
-    caps, mode = resolved_mechanism(scenario)
-    if caps is None or mode is not MechanismMode.REDISTRIBUTE:
+    mech, _, _ = _cost_rule(scenario)
+    if mech is None or mech.mode is not MechanismMode.REDISTRIBUTE:
         return 0.0
     return math.fsum(
-        w.cost_expose - caps[w.id]
+        w.cost_expose - _cap(mech, w.id)
         for w, a in zip(scenario.wards, profile.actions)
         if a is Action.EXPOSE
     )
@@ -218,69 +199,71 @@ def system_borne_cost(scenario: Scenario, profile: ActionProfile) -> float:
 
 def is_symmetric(scenario: Scenario) -> bool:
     """True when every ward faces identical effective incentives."""
-    w0 = scenario.wards[0]
-    if any(
-        w.cost_expose != w0.cost_expose or w.cost_buffer != w0.cost_buffer
-        for w in scenario.wards
-    ):
-        return False
-    caps, _ = resolved_mechanism(scenario)
-    if caps is not None and any(c != caps[0] for c in caps):
-        return False
-    return True
+    return payoff_tables(scenario).symmetric
 
 
 @dataclass(frozen=True)
 class PayoffTables:
-    """Effective payoffs indexed by [ward][count of exposing others].
+    """The compiled game: every effective payoff from O(N) numbers.
 
-    expose[i][j] is ward i's payoff for exposing when j others expose;
-    buffer[i][j] likewise for buffering. Valid because the benefit depends on
-    others only through their exposer count. Wards with the same effective
-    costs share one row object.
+    Payoffs depend on the other wards only through their exposer count j,
+    and wards differ only in their effective costs, so ward i earns
+    expose(i, j) = benefit[j + 1] - cost_expose[i] by exposing and
+    buffer(i, j) = (benefit[j] - cost_buffer[i]) - penalty[j] by buffering.
+    Each entry is computed on demand with the float expression of
+    effective_payoff, so it is bit-identical to it. charge[i] is what the
+    system bears when ward i exposes under a redistributing mechanism; it is
+    None without one.
     """
 
     n: int
-    expose: tuple[tuple[float, ...], ...]
-    buffer: tuple[tuple[float, ...], ...]
+    benefit: tuple[float, ...]
+    penalty: tuple[float, ...]
+    cost_expose: tuple[float, ...]
+    cost_buffer: tuple[float, ...]
+    charge: tuple[float, ...] | None
+
+    def expose(self, ward: int, k_others: int) -> float:
+        return self.benefit[k_others + 1] - self.cost_expose[ward]
+
+    def buffer(self, ward: int, k_others: int) -> float:
+        return (self.benefit[k_others] - self.cost_buffer[ward]) - self.penalty[k_others]
 
     def gain_to_expose(self, ward: int, k_others: int) -> float:
-        return self.expose[ward][k_others] - self.buffer[ward][k_others]
+        return self.expose(ward, k_others) - self.buffer(ward, k_others)
+
+    @property
+    def symmetric(self) -> bool:
+        """True when every ward has the same effective costs."""
+        ce, cb = self.cost_expose[0], self.cost_buffer[0]
+        return all(e == ce for e in self.cost_expose) and all(
+            b == cb for b in self.cost_buffer
+        )
 
     def pole_deviators(self, all_expose: bool, epsilon: float) -> frozenset[int]:
         """Wards gaining more than epsilon by leaving the all-Expose profile
         (all-Buffer when all_expose is False); it is Nash iff there are none."""
         j = self.n - 1 if all_expose else 0
-        rows = enumerate(zip(self.expose, self.buffer))
+        sign = -1.0 if all_expose else 1.0
         return frozenset(
-            i for i, (e, b) in rows if (b[j] - e[j] if all_expose else e[j] - b[j]) > epsilon
+            i for i in range(self.n) if sign * self.gain_to_expose(i, j) > epsilon
         )
 
 
 def payoff_tables(scenario: Scenario) -> PayoffTables:
-    """Precompute all effective payoffs; bit-identical to effective_payoff.
-
-    One expose row and one buffer row are built per distinct effective cost
-    pair, so identical wards cost O(N) in all.
-    """
+    """Compile the scenario's effective payoffs in O(N) time and memory."""
     n = scenario.n
-    benefits = [benefit_at_count(scenario.benefit, k, n) for k in range(n + 1)]
-    pens = [buffering_penalty(scenario, j, n) for j in range(n)]
-    rows: dict[tuple[float, ...], tuple[tuple[float, ...], tuple[float, ...]]] = {}
-    expose = []
-    buffer = []
-    for ce, cb in effective_costs(scenario):
-        # 0.0 == -0.0, but they can round differently: keep the signs apart
-        key = (ce, cb, math.copysign(1.0, ce), math.copysign(1.0, cb))
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = (
-                tuple(benefits[j + 1] - ce for j in range(n)),
-                tuple(
-                    (benefits[j] - cb) - pens[j] if pens[j] != 0.0 else benefits[j] - cb
-                    for j in range(n)
-                ),
-            )
-        expose.append(row[0])
-        buffer.append(row[1])
-    return PayoffTables(n=n, expose=tuple(expose), buffer=tuple(buffer))
+    rule = _cost_rule(scenario)
+    costs = [_ward_costs(scenario, i, rule) for i in range(n)]
+    mech = rule[0]
+    charge = None
+    if mech is not None and mech.mode is MechanismMode.REDISTRIBUTE:
+        charge = tuple(w.cost_expose - _cap(mech, w.id) for w in scenario.wards)
+    return PayoffTables(
+        n=n,
+        benefit=tuple(benefit_at_count(scenario.benefit, k, n) for k in range(n + 1)),
+        penalty=tuple(buffering_penalty(scenario, j, n) for j in range(n)),
+        cost_expose=tuple(ce for ce, _ in costs),
+        cost_buffer=tuple(cb for _, cb in costs),
+        charge=charge,
+    )

@@ -278,16 +278,6 @@ def _check_profile(scenario: Scenario, profile: ActionProfile) -> None:
         )
 
 
-def payoff(scenario: Scenario, profile: ActionProfile, ward: int) -> float:
-    """u_i = B(k) - c_i(a_i), after applying every intervention in list order.
-
-    With an empty intervention list this is the baseline game exactly.
-    """
-    from .interventions import effective_payoff
-
-    return effective_payoff(scenario, profile, ward)
-
-
 def welfare(scenario: Scenario, profile: ActionProfile) -> float:
     """Sum of ward payoffs, charged with any system-borne redistribution cost.
 

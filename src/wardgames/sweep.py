@@ -174,7 +174,7 @@ class ThresholdResult:
 
     true_at_high records the orientation: the predicate held at the high end
     of the original bracket. analytic_value is attached when the flip margin
-    is verifiably affine in the parameter (symmetric scenarios, epsilon 0).
+    is verifiably affine in the parameter (identical effective costs, epsilon 0).
     """
 
     critical_value: float

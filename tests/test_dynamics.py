@@ -170,9 +170,7 @@ class TestBestResponseDynamics:
             p = ActionProfile.from_mask(mask, s.n)
             i = rng.randrange(s.n)
             q = p.with_action(i, p.actions[i].flipped())
-            from wardgames import payoff
-
-            d_u = payoff(s, q, i) - payoff(s, p, i)
+            d_u = effective_payoff(s, q, i) - effective_payoff(s, p, i)
             d_phi = exact_potential(s, q) - exact_potential(s, p)
             assert d_phi == pytest.approx(d_u, abs=1e-9)
 

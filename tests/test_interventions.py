@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,11 +17,13 @@ from wardgames import (
     Observability,
     Scenario,
     ScenarioError,
+    ThresholdBenefit,
     Ward,
+    critical_threshold,
     detection_probability,
     effective_payoff,
+    integrate_replicator,
     is_symmetric,
-    payoff,
     payoff_tables,
     symmetric_scenario,
     welfare,
@@ -69,8 +72,8 @@ class TestEffortReduction:
             )
             for p in all_profiles(s.n)[:: max(1, (1 << s.n) // 8)]:
                 for i in range(s.n):
-                    assert payoff(shifted, p, i) == pytest.approx(
-                        payoff(s, p, i) + delta, abs=1e-12
+                    assert effective_payoff(shifted, p, i) == pytest.approx(
+                        effective_payoff(s, p, i) + delta, abs=1e-12
                     )
 
 
@@ -117,7 +120,7 @@ class TestObservability:
             for p in all_profiles(s.n)[:: max(1, (1 << s.n) // 8)]:
                 for i in range(s.n):
                     if p.actions[i] is Action.EXPOSE:
-                        assert payoff(with_obs, p, i) == payoff(s, p, i)
+                        assert effective_payoff(with_obs, p, i) == effective_payoff(s, p, i)
 
 
 class TestMechanism:
@@ -129,9 +132,9 @@ class TestMechanism:
                 if p.actions[i] is Action.EXPOSE:
                     assert effective_payoff(s, p, i) == s.benefit_at(p.exposer_count) - 1.2
         # capped exposing against all-buffer others now beats buffering
-        u_e = payoff(s, ActionProfile.from_string("EBBB"), 0)
+        u_e = effective_payoff(s, ActionProfile.from_string("EBBB"), 0)
         assert u_e == pytest.approx(-0.9)
-        assert u_e >= payoff(s, ActionProfile.all_buffer(4), 0)
+        assert u_e >= effective_payoff(s, ActionProfile.all_buffer(4), 0)
 
     def test_buffer_cost_untouched(self, s0):
         s = Scenario(s0.wards, s0.benefit, (Mechanism(1.2),))
@@ -144,7 +147,7 @@ class TestMechanism:
         with_cap = Scenario(s0.wards, s0.benefit, (Mechanism(2.0),))
         for p in all_profiles(4):
             for i in range(4):
-                assert payoff(with_cap, p, i) == payoff(s0, p, i)
+                assert effective_payoff(with_cap, p, i) == effective_payoff(s0, p, i)
 
     def test_per_ward_sequence_mismatch(self, s0):
         short = Mechanism((1.0, 1.0))
@@ -165,26 +168,28 @@ class TestMechanism:
             for p in all_profiles(s.n)[:: max(1, (1 << s.n) // 8)]:
                 for i in range(s.n):
                     if p.actions[i] is Action.BUFFER:
-                        assert payoff(with_mech, p, i) == payoff(s, p, i)
+                        assert effective_payoff(with_mech, p, i) == effective_payoff(s, p, i)
 
     def test_absorb_welfare_uses_capped_costs(self, s0):
         s = Scenario(s0.wards, s0.benefit, (Mechanism(1.2, MechanismMode.ABSORB),))
-        assert payoff(s, ActionProfile.all_expose(4), 0) == 0.0
+        assert effective_payoff(s, ActionProfile.all_expose(4), 0) == 0.0
         assert welfare(s, ActionProfile.all_expose(4)) == 0.0
 
     def test_redistribute_welfare_charges_system(self, s0):
         s = Scenario(s0.wards, s0.benefit, (Mechanism(1.2, MechanismMode.REDISTRIBUTE),))
         # wards see the capped cost, the system pays the remainder
-        assert payoff(s, ActionProfile.all_expose(4), 0) == 0.0
+        assert effective_payoff(s, ActionProfile.all_expose(4), 0) == 0.0
         assert welfare(s, ActionProfile.all_expose(4)) == pytest.approx(-3.2)
         assert welfare(s, ActionProfile.all_buffer(4)) == -4.0
 
 
 class TestComposition:
     def test_empty_composition_is_baseline(self, s0):
+        # u_i = B(k) - c_i(a_i) exactly, with no intervention applied
         for p in all_profiles(4):
-            for i in range(4):
-                assert effective_payoff(s0, p, i) == payoff(s0, p, i)
+            for i, (w, a) in enumerate(zip(s0.wards, p.actions)):
+                cost = w.cost_expose if a is Action.EXPOSE else w.cost_buffer
+                assert effective_payoff(s0, p, i) == s0.benefit_at(p.exposer_count) - cost
 
     def test_worked_stack(self, s0):
         s = Scenario(
@@ -208,7 +213,7 @@ class TestComposition:
             b = Scenario(s.wards, s.benefit, (mech, er))
             for p in all_profiles(s.n)[:: max(1, (1 << s.n) // 8)]:
                 for i in range(s.n):
-                    assert payoff(a, p, i) == payoff(b, p, i)
+                    assert effective_payoff(a, p, i) == effective_payoff(b, p, i)
 
     def test_effort_stacks_additively(self, s0):
         stacked = Scenario(
@@ -217,14 +222,14 @@ class TestComposition:
         merged = Scenario(s0.wards, s0.benefit, (EffortReduction(0.5, 0.3),))
         p = ActionProfile.from_string("EBEB")
         for i in range(4):
-            assert payoff(stacked, p, i) == pytest.approx(payoff(merged, p, i))
+            assert effective_payoff(stacked, p, i) == pytest.approx(effective_payoff(merged, p, i))
 
     def test_mechanism_last_writer_wins(self, s0):
         two_caps = Scenario(s0.wards, s0.benefit, (Mechanism(0.5), Mechanism(1.2)))
         last_only = Scenario(s0.wards, s0.benefit, (Mechanism(1.2),))
         for p in all_profiles(4):
             for i in range(4):
-                assert payoff(two_caps, p, i) == payoff(last_only, p, i)
+                assert effective_payoff(two_caps, p, i) == effective_payoff(last_only, p, i)
 
     def test_observability_penalties_stack(self, s0):
         stacked = Scenario(
@@ -235,13 +240,13 @@ class TestComposition:
                 Observability(p0=0.25, penalty=2.0),
             ),
         )
-        u = payoff(stacked, ActionProfile.all_buffer(4), 0)
+        u = effective_payoff(stacked, ActionProfile.all_buffer(4), 0)
         assert u == pytest.approx(-1.0 - 0.5 - 0.5)
 
     def test_tables_match_effective_payoff(self):
         rng = random.Random(31)
         scenarios = [random_scenario(rng, with_interventions=True) for _ in range(20)]
-        # wards repeating a cost pair read one shared row
+        # wards repeating a cost pair share every deviation check
         scenarios += [
             repeated_costs_scenario(rng, with_interventions=True) for _ in range(20)
         ]
@@ -250,28 +255,37 @@ class TestComposition:
             for p in all_profiles(s.n)[:: max(1, (1 << s.n) // 16)]:
                 k = p.exposer_count
                 for i in range(s.n):
-                    a = p.actions[i]
-                    j = k - 1 if a is Action.EXPOSE else k
-                    expected = (
-                        tables.expose[i][j] if a is Action.EXPOSE else tables.buffer[i][j]
-                    )
+                    if p.actions[i] is Action.EXPOSE:
+                        expected = tables.expose(i, k - 1)
+                    else:
+                        expected = tables.buffer(i, k)
                     assert effective_payoff(s, p, i) == expected
+                    assert str(effective_payoff(s, p, i)) == str(expected)
 
-
-    def test_identical_wards_share_one_row(self):
-        s = symmetric_scenario(
-            6, 2.0, 1.0, LinearBenefit(0.3), (Observability(0.5, 0.2, 1.0),)
-        )
-        tables = payoff_tables(s)
-        assert all(row is tables.expose[0] for row in tables.expose)
-        assert all(row is tables.buffer[0] for row in tables.buffer)
-        # signed zeros are equal but round apart, so they get their own rows
+    def test_signed_zero_costs_keep_their_sign(self):
+        # 0.0 == -0.0, but they round apart: every entry keeps its own sign
         wards = (Ward(0, 0.0, 0.0), Ward(1, -0.0, 0.0), Ward(2, 0.0, 0.0))
-        zeros = payoff_tables(Scenario(wards, LinearBenefit(-0.0)))
-        assert zeros.expose[0] is zeros.expose[2]
-        assert zeros.expose[0] is not zeros.expose[1]
-        assert str(zeros.expose[0][0]) == "-0.0"
-        assert str(zeros.expose[1][0]) == "0.0"
+        s = Scenario(wards, LinearBenefit(-0.0))
+        zeros = payoff_tables(s)
+        assert [str(zeros.expose(i, 0)) for i in range(3)] == ["-0.0", "0.0", "-0.0"]
+        for i in range(3):
+            p = ActionProfile.from_mask(1 << i, 3)
+            assert str(effective_payoff(s, p, i)) == str(zeros.expose(i, 0))
+
+    def test_compiled_tables_stay_small(self):
+        # O(N) numbers: a 512-ward table of 2N^2 floats would take ~17 MB
+        wards = tuple(Ward(i, 1.8 + 0.05 * i / 32, 1.0) for i in range(512))
+        s = Scenario(wards, LinearBenefit(0.3), (Observability(0.5, 0.2, 1.0),))
+        tracemalloc.start()
+        try:
+            tables = payoff_tables(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert tables.expose(511, 0) == effective_payoff(
+            s, ActionProfile.from_string("B" * 511 + "E"), 511
+        )
 
 
 class TestSymmetryDetection:
@@ -289,3 +303,17 @@ class TestSymmetryDetection:
     def test_cost_differences_break_symmetry(self):
         wards = (Ward(0, 2.0, 1.0), Ward(1, 2.0, 1.0), Ward(2, 2.5, 1.0))
         assert not is_symmetric(Scenario(wards, LinearBenefit(0.3)))
+
+    def test_equal_effective_costs_are_symmetric(self):
+        # a broadcast cap erases the raw cost differences: payoffs are identical
+        cap = [Mechanism(1.2)]
+        veto = ThresholdBenefit(tau=3, beta=3.0)
+        wards = (Ward(0, 3.0, 1.0), Ward(1, 4.0, 1.0), Ward(2, 3.5, 1.0))
+        s = Scenario(wards, veto, tuple(cap))
+        same = symmetric_scenario(3, 3.0, 1.0, veto, cap)
+        assert is_symmetric(s)
+        assert integrate_replicator(s, 0.5) == integrate_replicator(same, 0.5)
+        path = "interventions[0].capped_cost_expose"
+        found = critical_threshold(s, path, 0.5, 6.0, "all_expose_nash")
+        assert found.analytic_value == 4.0
+        assert found == critical_threshold(same, path, 0.5, 6.0, "all_expose_nash")

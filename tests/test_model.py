@@ -18,7 +18,7 @@ from wardgames import (
     ThresholdBenefit,
     Ward,
     benefit_at_count,
-    payoff,
+    effective_payoff,
     symmetric_scenario,
     validate_scenario,
     welfare,
@@ -152,22 +152,22 @@ class TestScenarioValidation:
 
 class TestPayoff:
     def test_all_buffer_payoff(self, s0):
-        assert payoff(s0, ActionProfile.all_buffer(4), 0) == -1.0
+        assert effective_payoff(s0, ActionProfile.all_buffer(4), 0) == -1.0
 
     def test_unilateral_expose_payoff(self, s0):
-        assert payoff(s0, ActionProfile.from_string("EBBB"), 0) == pytest.approx(-1.7)
+        assert effective_payoff(s0, ActionProfile.from_string("EBBB"), 0) == pytest.approx(-1.7)
 
     def test_zero_cost_zero_benefit_is_zero(self):
         s = symmetric_scenario(3, 0.0, 0.0, LinearBenefit(0.0))
         for mask in range(8):
             p = ActionProfile.from_mask(mask, 3)
-            assert all(payoff(s, p, i) == 0.0 for i in range(3))
+            assert all(effective_payoff(s, p, i) == 0.0 for i in range(3))
 
     def test_length_mismatch_rejected(self, s0):
         with pytest.raises(ScenarioError):
-            payoff(s0, ActionProfile.all_buffer(3), 0)
+            effective_payoff(s0, ActionProfile.all_buffer(3), 0)
         with pytest.raises(ScenarioError):
-            payoff(s0, ActionProfile.all_buffer(4), 4)
+            effective_payoff(s0, ActionProfile.all_buffer(4), 4)
 
     def test_payoff_depends_on_others_only_through_count(self):
         rng = random.Random(11)
@@ -184,7 +184,7 @@ class TestPayoff:
             for src, dst in zip([i for i in range(n) if i != ward], others):
                 permuted[dst] = p.actions[src]
             q = ActionProfile(tuple(permuted))
-            assert payoff(s, q, ward) == payoff(s, p, ward)
+            assert effective_payoff(s, q, ward) == effective_payoff(s, p, ward)
 
 
 class TestWelfare:
