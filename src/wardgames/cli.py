@@ -460,28 +460,16 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def trace_to_csv(trace: DynamicsTrace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step", "profile", "mover", "payoff_delta"])
-    for i, step in enumerate(trace.steps):
-        writer.writerow(
-            [
-                i,
-                str(step.profile),
-                "" if step.mover is None else step.mover,
-                repr(step.payoff_delta),
-            ]
-        )
-    return buf.getvalue()
+    # no cell needs CSV quoting: ints, E/B strings and float reprs
+    rows = (
+        f"{i},{s.profile},{'' if s.mover is None else s.mover},{s.payoff_delta!r}\n"
+        for i, s in enumerate(trace.steps)
+    )
+    return "step,profile,mover,payoff_delta\n" + "".join(rows)
 
 
 def replicator_to_csv(result: ReplicatorResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "x"])
-    for t, x in result.trajectory:
-        writer.writerow([repr(t), repr(x)])
-    return buf.getvalue()
+    return "t,x\n" + "".join(f"{t!r},{x!r}\n" for t, x in result.trajectory)
 
 
 def sweep_rows_to_csv(rows: list[dict], observables: tuple[str, ...], n: int) -> str:

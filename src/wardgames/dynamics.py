@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .errors import NumericalError, ScenarioError
 from .interventions import payoff_tables
@@ -22,12 +23,14 @@ TIE_BREAKS = ("stay", "expose", "buffer")
 # ceil(t_end / dt) above this is refused: the trajectory is kept in memory.
 MAX_RK4_STEPS = 10**6
 
-# The binomial weights C(N - 1, j) of the expected payoffs must fit a float;
-# C(1030, 515) does not.
+# The phase portrait subdivides the N Bernstein coefficients of the gain in
+# O(N^2) per split; past about a thousand wards that takes seconds.
 MAX_REPLICATOR_WARDS = 1030
 
 # Ward 0's payoffs for exposing and for buffering, per count of exposing others.
 Rows = tuple[list[float], list[float]]
+# A function of the population share x.
+Gain = Callable[[float], float]
 
 
 class TraceTerminal(Enum):
@@ -122,7 +125,7 @@ def best_response_dynamics(
     def decide(profile: ActionProfile, ward: int) -> float | None:
         """Payoff change if the ward switches now, else None."""
         cur = profile.actions[ward]
-        k_others = profile.exposer_count - (1 if cur is Action.EXPOSE else 0)
+        k_others = count - (1 if cur is Action.EXPOSE else 0)
         gain = tables.gain_to_expose(ward, k_others)
         if cur is Action.EXPOSE:
             gain = -gain
@@ -133,6 +136,7 @@ def best_response_dynamics(
         return None
 
     profile = initial
+    count = profile.exposer_count  # carried along, so decide is O(1)
     steps = [TraceStep(profile, None, 0.0)]
     moves = 0
     pointer = 0
@@ -153,6 +157,7 @@ def best_response_dynamics(
         gain = decide(profile, ward)
         if gain is None:
             continue
+        count += 1 if profile.actions[ward] is Action.BUFFER else -1
         profile = profile.with_action(ward, profile.actions[ward].flipped())
         steps.append(TraceStep(profile, ward, gain))
         moves += 1
@@ -196,17 +201,17 @@ def expected_payoffs_by_strategy(scenario: Scenario, x: float) -> tuple[float, f
 
     Opponent exposer counts are Binomial(N-1, x); payoffs are the effective
     (post-intervention) ones. Requires wards with identical effective costs,
-    at most 1030 of them.
+    at most MAX_REPLICATOR_WARDS of them (the phase portrait's limit).
     """
-    rows = _replicator_tables(scenario)
+    expose, buffer = _replicator_tables(scenario)
     if not 0.0 <= x <= 1.0:
         raise ScenarioError(f"population share x must lie in [0, 1], got {x}")
-    return _expected_payoffs(rows, x)
+    return _binomial_mean(expose)(x), _binomial_mean(buffer)(x)
 
 
 def _replicator_tables(scenario: Scenario) -> Rows:
     """Ward 0's expose and buffer payoffs per count of exposing others, for
-    wards with identical effective costs, at most MAX_REPLICATOR_WARDS."""
+    identical effective costs and N up to the portrait's MAX_REPLICATOR_WARDS."""
     tables = payoff_tables(scenario)
     if not tables.symmetric:
         raise ScenarioError(
@@ -217,29 +222,50 @@ def _replicator_tables(scenario: Scenario) -> Rows:
     if n > MAX_REPLICATOR_WARDS:
         raise ScenarioError(
             f"replicator dynamics support at most {MAX_REPLICATOR_WARDS} wards, "
-            f"got {n}: C(N - 1, j) would overflow a float"
+            f"got {n}: the phase portrait's subdivision costs O(N^2) per split"
         )
     return [tables.expose(0, j) for j in range(n)], [tables.buffer(0, j) for j in range(n)]
 
 
-def _expected_payoffs(rows: Rows, x: float) -> tuple[float, float]:
-    """(u_E, u_B) of ward 0 against Binomial(N-1, x) exposing opponents."""
-    expose, buffer = rows
-    m = len(expose) - 1
-    u_e = 0.0
-    u_b = 0.0
-    for j in range(m + 1):
-        p = math.comb(m, j) * x**j * (1.0 - x) ** (m - j)
-        if p == 0.0:
-            continue
-        u_e += p * expose[j]
-        u_b += p * buffer[j]
-    return u_e, u_b
+def _binomial_mean(c: list[float]) -> Gain:
+    """x -> sum_j c[j] C(m, j) x^j (1 - x)^(m - j), m = len(c) - 1.
 
+    As in Loader (2000), the weight at the mode j0 = floor((m + 1) x) comes
+    from logarithms and the others from the ratios (m - j) / (j + 1) *
+    x / (1 - x), walking up and down from j0 until a weight underflows to
+    exactly 0. No weight exceeds 1, so nothing overflows at any m. There is
+    no relative cutoff: the portrait reads an exact 0 as a root.
+    x <= 0 (or NaN) and x >= 1 give c[0] and c[m].
+    """
+    m = len(c) - 1
+    log_comb, k = [], 1
+    for j in range(m + 1):  # from the exact integers: lgamma differences cancel
+        log_comb.append(math.log(k))
+        k = k * (m - j) // (j + 1)
+    up = [(m - j) / (j + 1) for j in range(m)]  # w[j + 1] / w[j] is up[j] * r
 
-def _strategy_gain(rows: Rows, x: float) -> float:
-    u_e, u_b = _expected_payoffs(rows, x)
-    return u_e - u_b
+    def mean(x: float) -> float:
+        if not x > 0.0:  # also NaN, which an overflowing RK4 stage can pass
+            return c[0]
+        if x >= 1.0:
+            return c[m]
+        j0 = min(m, int((m + 1) * x))
+        w0 = math.exp(log_comb[j0] + j0 * math.log(x) + (m - j0) * math.log1p(-x))
+        total, w, r = w0 * c[j0], w0, x / (1.0 - x)
+        for j in range(j0, m):
+            w *= up[j] * r
+            if not w:
+                break
+            total += w * c[j + 1]
+        w = w0
+        for j in range(j0 - 1, -1, -1):
+            w /= up[j] * r
+            if not w:
+                break
+            total += w * c[j]
+        return total
+
+    return mean
 
 
 def _split(c: list[float]) -> tuple[list[float], list[float]]:
@@ -252,7 +278,7 @@ def _split(c: list[float]) -> tuple[list[float], list[float]]:
     return left, right[::-1]
 
 
-def _phase_portrait(rows: Rows) -> tuple[list[FixedPoint], list[Basin]]:
+def _phase_portrait(g: list[float], gain: Gain) -> tuple[list[FixedPoint], list[Basin]]:
     """Fixed points, stability and basins from the Bernstein form of the gain,
     u_E(x) - u_B(x) = sum_j g_j C(m, j) x^j (1 - x)^(m - j) with m = N - 1 and
     g_j the gain to expose against j exposing others.
@@ -268,7 +294,6 @@ def _phase_portrait(rows: Rows) -> tuple[list[FixedPoint], list[Basin]]:
     or vanish. Stability and basins use only the signs the isolation saw.
     With every g_j zero nothing moves: 0 and 1 are Boundary, with no basins.
     """
-    g = [e - b for e, b in zip(*rows)]
     top = max(map(abs, g))
     if top == 0.0:
         return [FixedPoint(0.0, Stability.BOUNDARY), FixedPoint(1.0, Stability.BOUNDARY)], []
@@ -287,7 +312,7 @@ def _phase_portrait(rows: Rows) -> tuple[list[FixedPoint], list[Basin]]:
         if signs and c[0] == 0.0 and a > 0.0:
             points.append(a)
             ups.append(signs[0])
-        while changes == 1 and a < mid < b and (v := _strategy_gain(rows, mid)):
+        while changes == 1 and a < mid < b and (v := gain(mid)):
             a, b = (mid, b) if (v > 0.0) == signs[0] else (a, mid)
             mid = 0.5 * (a + b)
         if changes:
@@ -323,8 +348,8 @@ def integrate_replicator(
     x = 0 and x = 1 are always fixed points. A trajectory drifting outside
     [0, 1] by more than 1e-9 raises NumericalError (dt too large); smaller
     excursions are clamped. dt and t_end must be finite, t_end / dt at most
-    MAX_RK4_STEPS, and N at most MAX_REPLICATOR_WARDS. The payoff tables are
-    built once.
+    MAX_RK4_STEPS, and N at most MAX_REPLICATOR_WARDS (the portrait's limit).
+    The payoff tables and the O(N) gain are built once.
     """
     if not 0.0 <= x0 <= 1.0:
         raise ScenarioError(f"x0 must lie in [0, 1], got {x0}")
@@ -336,10 +361,11 @@ def integrate_replicator(
         raise ScenarioError(
             f"t_end={t_end} with dt={dt} needs more than {MAX_RK4_STEPS} RK4 steps"
         )
-    rows = _replicator_tables(scenario)
+    g = [e - b for e, b in zip(*_replicator_tables(scenario))]
+    gain = _binomial_mean(g)  # c[0] / c[m] outside [0, 1]: no clamp needed
 
     def f(x: float) -> float:
-        return x * (1.0 - x) * _strategy_gain(rows, min(1.0, max(0.0, x)))
+        return x * (1.0 - x) * gain(x)
 
     traj = [(0.0, x0)]
     x = x0
@@ -351,14 +377,14 @@ def integrate_replicator(
         k3 = f(x + 0.5 * h * k2)
         k4 = f(x + h * k3)
         x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if x < -1e-9 or x > 1.0 + 1e-9:
+        if not -1e-9 <= x <= 1.0 + 1e-9:  # NaN too
             raise NumericalError(
                 f"trajectory left [0, 1] at t={t + h} (x={x}); reduce dt"
             )
         x = min(1.0, max(0.0, x))
         t = t + h
         traj.append((t, x))
-    fixed, basins = _phase_portrait(rows)
+    fixed, basins = _phase_portrait(g, gain)
     return ReplicatorResult(
         trajectory=tuple(traj),
         fixed_points=tuple(fixed),

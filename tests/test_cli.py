@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 import re
@@ -12,11 +14,14 @@ from pathlib import Path
 import pytest
 
 from wardgames import (
+    ActionProfile,
     LinearBenefit,
     Mechanism,
     MechanismMode,
     Scenario,
     ScenarioError,
+    best_response_dynamics,
+    integrate_replicator,
     symmetric_scenario,
 )
 from wardgames import cli
@@ -461,6 +466,30 @@ class TestDynamics:
         assert lines[0] == "t,x"
         final_x = float(lines[-1].split(",")[1])
         assert final_x < 1e-3
+
+    def test_csv_writers_match_the_csv_module(self, s0, v0):
+        def reference(header, rows):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            return buf.getvalue()
+
+        result = integrate_replicator(v0, 0.3, t_end=1.0, dt=0.1)
+        assert cli.replicator_to_csv(result) == reference(
+            ["t", "x"], [[repr(t), repr(x)] for t, x in result.trajectory]
+        )
+        trace = best_response_dynamics(
+            s0, ActionProfile.from_string("EBEE"), schedule="random", seed=5
+        )
+        assert cli.trace_to_csv(trace) == reference(
+            ["step", "profile", "mover", "payoff_delta"],
+            [
+                [i, str(st.profile), "" if st.mover is None else st.mover,
+                 repr(st.payoff_delta)]
+                for i, st in enumerate(trace.steps)
+            ],
+        )
 
     def test_bad_initial_profile_exits_2(self, capsys):
         assert main(

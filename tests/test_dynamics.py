@@ -6,12 +6,15 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from wardgames import (
+    Action,
     ActionProfile,
     LinearBenefit,
+    Mechanism,
     NumericalError,
     Scenario,
     ScenarioError,
@@ -29,6 +32,7 @@ from wardgames import (
     payoff_tables,
     symmetric_scenario,
 )
+from wardgames.dynamics import _binomial_mean
 from conftest import random_scenario
 
 X_STAR = (1.0 / 3.0) ** (1.0 / 3.0)
@@ -112,6 +116,73 @@ def check_against_oracle(scenario, result):
         else:
             basins.append((lo, hi, attractor))
     assert [(b.lo, b.hi, b.attractor) for b in result.basins] == basins
+
+
+def reference_best_response(scenario, initial, schedule, max_iters, tie_break, seed, epsilon):
+    """best_response_dynamics restated without carried state: every decision
+    recounts the profile and compares the ward's two effective payoffs.
+    Returns the steps as (profile, mover, repr(delta)) and the terminal."""
+    n = scenario.n
+    rng = random.Random(seed) if schedule == "random" else None
+    preferred = {"stay": None, "expose": Action.EXPOSE, "buffer": Action.BUFFER}[tie_break]
+
+    def decide(profile, ward):
+        cur = profile.actions[ward]
+        gain = effective_payoff(scenario, profile.with_action(ward, Action.EXPOSE), ward)
+        gain -= effective_payoff(scenario, profile.with_action(ward, Action.BUFFER), ward)
+        if cur is Action.EXPOSE:
+            gain = -gain
+        if gain > epsilon or (abs(gain) <= epsilon and preferred not in (None, cur)):
+            return gain
+        return None
+
+    profile, pointer = initial, 0
+    steps = [(str(profile), None, repr(0.0))]
+    seen = {(str(profile), pointer)}
+    while True:
+        if all(decide(profile, i) is None for i in range(n)):
+            return steps, TraceTerminal.CONVERGED_TO_NASH
+        if len(steps) - 1 >= max_iters:
+            return steps, TraceTerminal.MAX_ITERS_REACHED
+        if rng is not None:
+            ward = rng.randrange(n)
+        else:
+            ward, pointer = pointer, (pointer + 1) % n
+        gain = decide(profile, ward)
+        if gain is None:
+            continue
+        profile = profile.with_action(ward, profile.actions[ward].flipped())
+        steps.append((str(profile), ward, repr(gain)))
+        if rng is None:
+            if (str(profile), pointer) in seen:
+                return steps, TraceTerminal.CYCLE_DETECTED
+            seen.add((str(profile), pointer))
+
+
+def exact_binomial_mean(c, x):
+    """sum_j c_j C(m, j) x^j (1 - x)^(m - j) and the same sum over |c_j|, as
+    exact fractions. With x = p / q the weights are integers over q^m, each
+    from the last by the exact ratio (m - j) p / ((j + 1) (q - p))."""
+    m = len(c) - 1
+    p, q = x.as_integer_ratio()
+    den = max(v.as_integer_ratio()[1] for v in c)  # a power of two
+    nums = [a * (den // b) for a, b in map(float.as_integer_ratio, c)]
+    w = (q - p) ** m
+    total = mag = 0
+    for j, a in enumerate(nums):
+        total += a * w
+        mag += abs(a) * w
+        if j < m:
+            w = w * (m - j) * p // ((j + 1) * (q - p))  # exact: the result is an integer
+    return Fraction(total, den * q**m), Fraction(mag, den * q**m)
+
+
+def assert_mean_within_bound(c, x):
+    """|error| <= 4 N 2^-52 sum_j |c_j| w_j + N 2^-1073 with N = len(c)."""
+    exact, mag = exact_binomial_mean(c, x)
+    n = len(c)
+    err = abs(Fraction(_binomial_mean(c)(x)) - exact)
+    assert err <= 4 * n * Fraction(1, 2**52) * mag + n * Fraction(1, 2**1073), (n, x)
 
 
 class TestBestResponseDynamics:
@@ -210,6 +281,34 @@ class TestBestResponseDynamics:
         with pytest.raises(ScenarioError):
             best_response_dynamics(s0, ActionProfile.all_buffer(4), schedule="random")
 
+    @pytest.mark.parametrize("schedule", ["round_robin", "random"])
+    @pytest.mark.parametrize("tie_break", ["stay", "expose", "buffer"])
+    def test_matches_the_recounting_reference(self, schedule, tie_break):
+        rng = random.Random(f"{schedule}:{tie_break}")
+        for _ in range(40):
+            s = random_scenario(rng, max_n=10, symmetric=False, with_interventions=True)
+            initial = ActionProfile.from_mask(rng.randrange(1 << s.n), s.n)
+            epsilon = rng.choice((0.0, rng.uniform(0.0, 0.5)))
+            seed, max_iters = rng.randrange(1000), rng.randint(1, 40)
+            trace = best_response_dynamics(
+                s, initial, schedule, max_iters, tie_break, seed, epsilon
+            )
+            got = [(str(st.profile), st.mover, repr(st.payoff_delta)) for st in trace.steps]
+            assert (got, trace.terminal) == reference_best_response(
+                s, initial, schedule, max_iters, tie_break, seed, epsilon
+            )
+            assert trace.iterations == len(got) - 1
+
+    def test_1024_wards_take_linear_time_per_move(self):
+        n = 1024
+        s = symmetric_scenario(n, 2.0, 1.0, LinearBenefit(0.3), [Mechanism(0.1)])
+        start = time.perf_counter()
+        trace = best_response_dynamics(s, ActionProfile.all_buffer(n))
+        assert time.perf_counter() - start < 5.0
+        assert trace.terminal is TraceTerminal.CONVERGED_TO_NASH
+        assert trace.iterations == n
+        assert str(trace.steps[-1].profile) == "E" * n
+
 
 class TestExpectedPayoffs:
     def test_veto_at_full_exposure(self, v0):
@@ -236,6 +335,53 @@ class TestExpectedPayoffs:
     def test_share_out_of_range_rejected(self, s0):
         with pytest.raises(ScenarioError):
             expected_payoffs_by_strategy(s0, 1.2)
+
+
+class TestBinomialMean:
+    """The replicator gain against exact rational arithmetic."""
+
+    COEFFICIENTS = ("uniform", "dyadic", "spike", "subnormal")
+    SHARES = ("uniform", "tiny", "near_one", "power_of_two", "half")
+
+    @pytest.mark.parametrize("kind", COEFFICIENTS)
+    def test_within_the_error_bound(self, kind):
+        rng = random.Random(kind)
+        for share in self.SHARES * 60:
+            n = rng.randint(2, 64)
+            if kind == "uniform":
+                c = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            elif kind == "dyadic":
+                c = [rng.choice((-1.0, 1.0)) * 2.0 ** rng.randint(-60, 60) for _ in range(n)]
+            elif kind == "spike":
+                c = [0.0] * n
+                c[rng.randrange(n)] = rng.uniform(-2.0, 2.0)
+            else:
+                c = [rng.uniform(-1.0, 1.0) * 1e-310 for _ in range(n)]
+            x = {
+                "uniform": rng.uniform(1e-9, 1.0 - 1e-9),
+                "tiny": rng.uniform(0.0, 1e-12) or 1e-13,
+                "near_one": 1.0 - rng.uniform(0.0, 1e-9) or 0.5,
+                "power_of_two": 2.0 ** -rng.randint(1, 1000),
+                "half": 0.5,
+            }[share]
+            assert_mean_within_bound(c, x)
+
+    def test_past_the_old_float_overflow(self):
+        rng = random.Random(2048)
+        c = [rng.uniform(-1.0, 1.0) for _ in range(2048)]  # C(2047, 1023) > 1e307
+        for x in (0.3, 0.5, 0.999):
+            assert_mean_within_bound(c, x)
+
+    @pytest.mark.parametrize("n", [2, 16, 2048])
+    def test_tiny_share_keeps_a_tiny_mean(self, n):
+        # a cutoff relative to the mode's weight would return 0, a fixed point
+        c = [0.0] * n
+        c[1] = 1.0
+        assert _binomial_mean(c)(1e-20) == pytest.approx((n - 1) * 1e-20, rel=1e-12, abs=0)
+
+    def test_ends_of_the_interval(self):
+        mean = _binomial_mean([3.0, -1.0, 5.0])
+        assert (mean(0.0), mean(-1e-12), mean(1.0), mean(1.0 + 1e-12)) == (3.0, 3.0, 5.0, 5.0)
 
 
 class TestReplicator:
@@ -332,11 +478,24 @@ class TestReplicator:
         integrate_replicator(v0, 0.5)
         assert len(calls) == 1
 
+    def test_veto_at_256_wards_is_fast(self):
+        s = symmetric_scenario(256, 2.0, 1.0, ThresholdBenefit(tau=256, beta=3.0))
+        start = time.perf_counter()
+        result = integrate_replicator(s, 0.5)
+        assert time.perf_counter() - start < 1.5
+        assert result.trajectory[-1][1] < 1e-3
+
     def test_huge_dt_raises_numerical_error(self):
         # a violently scaled veto game makes RK4 overshoot [0, 1] at dt = 10
         s = symmetric_scenario(4, 2.0, 1.0, ThresholdBenefit(tau=4, beta=4000.0))
         with pytest.raises(NumericalError):
             integrate_replicator(s, 0.9, t_end=50.0, dt=10.0)
+
+    @pytest.mark.parametrize("gains", [[1.0, 0.0], [-1.0, 0.0]])
+    def test_overflowing_step_raises_numerical_error(self, gains):
+        # the RK4 stages overflow to inf and then NaN; NaN is not a share
+        with pytest.raises(NumericalError, match="reduce dt"):
+            integrate_replicator(gains_scenario(gains), 0.5, t_end=1e300, dt=1e300)
 
 
 class TestPhasePortrait:
