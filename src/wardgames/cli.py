@@ -52,6 +52,7 @@ from .model import (
     TableBenefit,
     ThresholdBenefit,
     Ward,
+    profile_string,
     validate_scenario,
 )
 from .sweep import (
@@ -340,7 +341,8 @@ def _disp(x: float | None) -> str:
 def equilibrium_report_dict(report: EquilibriumReport) -> dict:
     return {
         "nash_profiles": [
-            {"profile": str(p), "strict": s} for p, s in report.nash_profiles
+            {"profile": profile_string(m, report.n), "strict": s}
+            for m, s in report.nash_masks
         ],
         "dominant_strategy": [
             a.value if a is not None else None for a in report.dominant_strategy
@@ -414,10 +416,10 @@ def format_analysis_text(
         f"Scenario: {scenario.n} wards, benefit={type(scenario.benefit).__name__}, "
         f"{len(scenario.interventions)} intervention(s)"
     )
-    lines.append(f"Nash equilibria ({len(eq.nash_profiles)}):")
-    for p, strict in eq.nash_profiles:
-        lines.append(f"  {p}  {'strict' if strict else 'weak'}")
-    if not eq.nash_profiles:
+    lines.append(f"Nash equilibria ({eq.nash_count}):")
+    for m, strict in eq.nash_masks:
+        lines.append(f"  {profile_string(m, eq.n)}  {'strict' if strict else 'weak'}")
+    if not eq.nash_count:
         lines.append("  (none in pure strategies)")
     dom = ", ".join(
         f"ward {i}: {a.value if a else '-'}" for i, a in enumerate(eq.dominant_strategy)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from math import comb, fsum
 from typing import NamedTuple, Sequence
@@ -42,21 +43,52 @@ class NashCheck(NamedTuple):
     strict: bool
 
 
+class NashBlock(NamedTuple):
+    """The Nash profiles with k exposers: every k-set that holds all wards
+    of the mask `forced` plus `seats` wards of the mask `free`. A profile m
+    of the block is strict iff no ward of weak_expose exposes in m and every
+    ward of weak_buffer does."""
+
+    k: int
+    forced: int
+    free: int
+    seats: int
+    weak_expose: int
+    weak_buffer: int
+
+
 @dataclass(frozen=True)
 class EquilibriumReport:
     """Everything enumerate_nash knows about a scenario's pure equilibria.
 
-    nash_profiles pairs each equilibrium with its strictness flag, sorted by
-    profile mask. dominant_strategy holds a ward's strictly dominant action or
-    None. welfare_gap is optimal welfare minus best-Nash welfare (None when no
+    nash_plan describes the Nash set exactly without building it, one block
+    per exposer count that has Nash profiles, and nash_count is the exact
+    number of its profiles. nash_masks pairs each profile mask with its
+    strictness flag, sorted by mask, and nash_profiles holds the same as
+    ActionProfiles; each is built when it is first read, and that read
+    raises ResourceLimitError for a set of more than 4M profiles.
+    dominant_strategy holds a ward's strictly dominant action or None.
+    welfare_gap is optimal welfare minus best-Nash welfare (None when no
     pure Nash exists).
     """
 
-    nash_profiles: tuple[tuple[ActionProfile, bool], ...]
+    n: int
+    nash_count: int
+    nash_plan: tuple[NashBlock, ...]
     dominant_strategy: tuple[Action | None, ...]
     welfare_optimum: tuple[ActionProfile, float]
     welfare_gap: float | None
     classification: Classification
+
+    @cached_property
+    def nash_masks(self) -> tuple[tuple[int, bool], ...]:
+        return _nash_profiles(self.nash_plan, self.nash_count)
+
+    @cached_property
+    def nash_profiles(self) -> tuple[tuple[ActionProfile, bool], ...]:
+        return tuple(
+            (ActionProfile.from_mask(m, self.n), s) for m, s in self.nash_masks
+        )
 
 
 @dataclass(frozen=True)
@@ -192,15 +224,15 @@ def _deviation_masks(
 
 
 def _nash_plan(
-    n: int, bad_e: list[int], bad_b: list[int]
-) -> list[tuple[int, int, int, int]]:
+    n: int, bad_e: list[int], bad_b: list[int], weak_e: list[int], weak_b: list[int]
+) -> tuple[NashBlock, ...]:
     """The Nash profiles, described per exposer count without building them.
 
     A ward's deviation gain depends only on the ward and the exposer count k,
     so the Nash profiles with k exposers are exactly the k-sets that contain
     every ward in bad_b[k] (`forced`) and no ward in bad_e[k]: the remaining
     `seats` go to the `free` wards (a mask) in every possible way. Returns
-    one (k, forced, free, seats) entry per count that has Nash profiles.
+    one block per count that has Nash profiles.
     """
     everyone = (1 << n) - 1
     plan = []
@@ -211,19 +243,18 @@ def _nash_plan(
         seats = k - forced.bit_count()
         free = everyone & ~(forced | bad_e[k])
         if 0 <= seats <= free.bit_count():
-            plan.append((k, forced, free, seats))
-    return plan
+            plan.append(NashBlock(k, forced, free, seats, weak_e[k], weak_b[k]))
+    return tuple(plan)
 
 
 def _nash_profiles(
-    plan: list[tuple[int, int, int, int]], weak_e: list[int], weak_b: list[int]
-) -> list[tuple[int, bool]]:
+    plan: Sequence[NashBlock], total: int
+) -> tuple[tuple[int, bool], ...]:
     """Every pure Nash profile mask with its strictness flag, sorted by mask.
 
-    The count is summed exactly before anything is built, and only the
-    materialised output is capped.
+    total is the plan's exact count; a set of more than 4M profiles raises
+    ResourceLimitError when the list is first read, before any is built.
     """
-    total = sum(comb(free.bit_count(), seats) for _, _, free, seats in plan)
     if total > _MAX_NASH_PROFILES:
         raise ResourceLimitError(
             f"the Nash set has {total} profiles, more than the cap of "
@@ -231,14 +262,13 @@ def _nash_profiles(
             "the pole profiles instead"
         )
     found = []
-    for k, forced, free, seats in plan:
-        we, wb = weak_e[k], weak_b[k]
+    for _, forced, free, seats, we, wb in plan:
         bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
         for combo in combinations(bits, seats):
             m = forced | sum(combo)
             found.append((m, not (m & we) and not (wb & ~m)))
     found.sort()
-    return found
+    return tuple(found)
 
 
 def _dominant_strategies(
@@ -259,7 +289,7 @@ def _dominant_strategies(
 
 
 def _welfare_search(
-    tables: PayoffTables, plan: list[tuple[int, int, int, int]]
+    tables: PayoffTables, plan: Sequence[NashBlock]
 ) -> tuple[int, int | None]:
     """Masks of the welfare optimum and of the best Nash profile (None when
     the plan is empty), without scanning all 2^N profiles.
@@ -275,7 +305,7 @@ def _welfare_search(
     n = tables.n
     benefit, penalty = tables.benefit, tables.penalty
     ce, cb, charge = tables.cost_expose, tables.cost_buffer, tables.charge
-    nash = {k: (forced, free, seats) for k, forced, free, seats in plan}
+    nash = {b.k: b for b in plan}
 
     def score(k: int, exposers: list[int], others: list[int]) -> float:
         b_k = benefit[k]
@@ -302,7 +332,7 @@ def _welfare_search(
             if best is None or w > best[0] or mask < best[1]:
                 best = (w, mask)
         if k in nash:
-            forced, free, seats = nash[k]
+            _, forced, free, seats, _, _ = nash[k]
             exposers, others = [], []
             for i in order:
                 if forced >> i & 1:
@@ -320,20 +350,24 @@ def _welfare_search(
 
 
 def enumerate_nash(scenario: Scenario, epsilon: float = 0.0) -> EquilibriumReport:
-    """Every pure Nash profile of the scenario plus the full report.
+    """The exact pure Nash set of the scenario plus the full report.
 
-    The Nash set is exact for symmetric and asymmetric wards alike; a set of
-    more than 4M profiles raises ResourceLimitError before any is built.
+    The Nash set is exact for symmetric and asymmetric wards alike and is
+    counted without building it; its profile list is built when it is first
+    read, and a set of more than 4M profiles raises ResourceLimitError then.
     The payoff tables are built once; welfare() is called only on the
     welfare optimum and on the best Nash profile.
     """
+    return _analyse(scenario, payoff_tables(scenario), epsilon)
+
+
+def _analyse(
+    scenario: Scenario, tables: PayoffTables, epsilon: float
+) -> EquilibriumReport:
+    """enumerate_nash on the scenario's compiled game `tables`."""
     n = scenario.n
-    tables = payoff_tables(scenario)
     bad_e, bad_b, weak_e, weak_b = _deviation_masks(tables, epsilon)
-    plan = _nash_plan(n, bad_e, bad_b)
-    found = _nash_profiles(plan, weak_e, weak_b)
-    masks = [m for m, _ in found]
-    nash_profiles = tuple((ActionProfile.from_mask(m, n), s) for m, s in found)
+    plan = _nash_plan(n, bad_e, bad_b, weak_e, weak_b)
     dominant = _dominant_strategies(n, bad_e, bad_b)
     opt_mask, nash_mask = _welfare_search(tables, plan)
     opt_profile = ActionProfile.from_mask(opt_mask, n)
@@ -341,16 +375,20 @@ def enumerate_nash(scenario: Scenario, epsilon: float = 0.0) -> EquilibriumRepor
     gap: float | None = None
     if nash_mask is not None:
         gap = opt_welfare - welfare(scenario, ActionProfile.from_mask(nash_mask, n))
+    # mask 0 is the only Nash profile with k = 0, all-Expose the only one with k = N
+    counts = {b.k for b in plan}
     if all(d is Action.BUFFER for d in dominant):
         cls = Classification.DOMINANT_BUFFER
     elif all(d is Action.EXPOSE for d in dominant):
         cls = Classification.DOMINANT_EXPOSE
-    elif 0 in masks and ((1 << n) - 1) in masks:
+    elif 0 in counts and n in counts:
         cls = Classification.BISTABLE
     else:
         cls = Classification.MIXED_OTHER
     return EquilibriumReport(
-        nash_profiles=nash_profiles,
+        n=n,
+        nash_count=sum(comb(b.free.bit_count(), b.seats) for b in plan),
+        nash_plan=plan,
         dominant_strategy=dominant,
         welfare_optimum=(opt_profile, opt_welfare),
         welfare_gap=gap,

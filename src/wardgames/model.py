@@ -107,6 +107,14 @@ class ActionProfile:
         return ActionProfile(tuple(acts))
 
 
+_BITS_TO_ACTIONS = str.maketrans("10", "EB")
+
+
+def profile_string(mask: int, n: int) -> str:
+    """str(ActionProfile.from_mask(mask, n)) without building the profile."""
+    return format(mask, f"0{n}b")[::-1].translate(_BITS_TO_ACTIONS)
+
+
 @dataclass(frozen=True)
 class Ward:
     """One inpatient ward with its local action costs.

@@ -13,10 +13,10 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Callable
 
 from .errors import BracketError, ScenarioError
-from .equilibrium import enumerate_nash
+from .equilibrium import _analyse
 from .equilibrium import is_nash  # noqa: F401  perfbench's tracer test looks it up here
 from .interventions import is_symmetric, payoff_tables
-from .model import Scenario
+from .model import Scenario, profile_string
 
 OBSERVABLES = ("nash_set", "classification", "welfare_gap", "flip_margins")
 
@@ -147,22 +147,25 @@ def sweep_parameter(
 ) -> list[dict[str, Any]]:
     """Evaluate the requested observables at every grid value.
 
-    Rows are ordered by value and fully recomputed per point.
+    Rows are ordered by value and fully recomputed per point, from one
+    compile of that point's payoff tables. Only nash_set builds the Nash
+    profile list, so only it is subject to the 4M-profile cap.
     """
+    observables = set(spec.observables)
     rows = []
     for value in spec.grid():
         s = set_by_path(scenario, spec.parameter_path, value)
+        tables = payoff_tables(s)
         row: dict[str, Any] = {"value": value}
-        if {"nash_set", "classification", "welfare_gap"} & set(spec.observables):
-            report = enumerate_nash(s, epsilon=epsilon)
-            if "nash_set" in spec.observables:
-                row["nash_set"] = [str(p) for p, _ in report.nash_profiles]
-            if "classification" in spec.observables:
+        if {"nash_set", "classification", "welfare_gap"} & observables:
+            report = _analyse(s, tables, epsilon)
+            if "nash_set" in observables:
+                row["nash_set"] = [profile_string(m, s.n) for m, _ in report.nash_masks]
+            if "classification" in observables:
                 row["classification"] = report.classification.value
-            if "welfare_gap" in spec.observables:
+            if "welfare_gap" in observables:
                 row["welfare_gap"] = report.welfare_gap
-        if "flip_margins" in spec.observables:  # against all other wards buffering
-            tables = payoff_tables(s)
+        if "flip_margins" in observables:  # against all other wards buffering
             row["flip_margins"] = [tables.gain_to_expose(i, 0) for i in range(s.n)]
         rows.append(row)
     return rows

@@ -332,6 +332,29 @@ class TestAnalyze:
         assert report["equilibrium"]["welfare_optimum"]["welfare"] == -3.2
         assert report["flip"]["blocking_wards"] == [0, 1, 2, 3]
 
+    def test_nash_set_over_the_cap_exits_1_without_output(self, tmp_path, capsys):
+        # every deviation ties exactly, so all 2^23 profiles are weak Nash
+        doc = {
+            "n_wards": 23,
+            "wards": [
+                {"cost_expose": 1.5 + 0.25 * i, "cost_buffer": 1.0 + 0.25 * i}
+                for i in range(23)
+            ],
+            "benefit": {"kind": "linear", "beta_per_exposer": 0.5},
+            "interventions": [],
+        }
+        out_path = tmp_path / "report.json"
+        argv = ["analyze", str(write_scenario(tmp_path, doc)), "--out", str(out_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines(keepends=True)[-1] == (
+            "error: the Nash set has 8388608 profiles, more than the cap of "
+            "4194304 to materialise; use flip_conditions for the pole profiles "
+            "instead\n"
+        )
+        assert not out_path.exists()
+
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -595,6 +618,29 @@ class TestSweep:
         assert lines[0].startswith("value,nash_set,classification,welfare_gap")
         assert len(lines) == 6
         assert "DominantExpose" in lines[-1]
+
+    def test_only_printed_nash_lists_are_capped(self, tmp_path, capsys):
+        # at penalty 1.4 the 30 wards have 824,776,359 Nash profiles
+        doc = {
+            "n_wards": 30,
+            "wards": {"symmetric": {"cost_expose": 2.0, "cost_buffer": 1.0}},
+            "benefit": {"kind": "linear", "beta_per_exposer": 0.3},
+            "interventions": [{"kind": "observability", "p0": 0.5, "penalty": 1.4}],
+        }
+        argv = ["sweep", str(write_scenario(tmp_path, doc)), "--path",
+                "interventions[0].penalty", "--lo", "1", "--hi", "2", "--steps", "6"]
+        assert main(argv + ["--observables", "classification,welfare_gap"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "value,classification,welfare_gap"
+        assert lines[3].startswith("1.4,")
+        assert main(argv + ["--observables", "nash_set,classification"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the Nash set has 824776359 profiles, more than the cap of "
+            "4194304 to materialise; use flip_conditions for the pole profiles "
+            "instead\n"
+        )
 
     def test_critical_threshold_json(self, tmp_path):
         out = tmp_path / "threshold.json"

@@ -170,9 +170,27 @@ class TestEnumerate:
             check = is_nash(s, ActionProfile.from_mask(rng.getrandbits(23), 23))
             assert check.is_nash and not check.strict
         start = time.perf_counter()
+        report = enumerate_nash(s)
+        assert report.nash_count == 1 << 23
         with pytest.raises(ResourceLimitError):
-            enumerate_nash(s)
+            report.nash_profiles
         assert time.perf_counter() - start < 1.0
+
+    def test_count_equals_listed_and_scanned_profiles(self):
+        rng = random.Random(101)
+        for trial in range(60):
+            if trial % 3 == 0:
+                s = random_scenario(rng, max_n=14, symmetric=True, with_interventions=True)
+            elif trial % 3 == 1:
+                s = random_scenario(rng, max_n=14, symmetric=False, with_interventions=True)
+            else:
+                s = repeated_costs_scenario(rng, max_n=14, with_interventions=True)
+            eps = 0.0 if trial % 2 == 0 else rng.choice((1e-9, 0.05, 0.3))
+            report = enumerate_nash(s, epsilon=eps)
+            assert report.nash_count == len(report.nash_masks) == len(report.nash_profiles)
+            assert [(p.mask, st) for p, st in report.nash_profiles] == list(report.nash_masks)
+            if s.n <= 10:
+                assert report.nash_count == len(scan_nash(s, eps))
 
     def test_uniform_shift_leaves_report_invariant(self):
         rng = random.Random(53)

@@ -23,6 +23,7 @@ from wardgames import (
     validate_scenario,
     welfare,
 )
+from wardgames.model import profile_string
 from conftest import random_scenario
 
 
@@ -93,6 +94,14 @@ class TestProfile:
             p = ActionProfile.from_mask(mask, 4)
             assert p.mask == mask
             assert p.exposer_count == bin(mask).count("1")
+
+    def test_mask_string_equals_profile_string(self):
+        rng = random.Random(97)
+        for n in (1, 2, 63, 64, 200):
+            masks = [0, (1 << n) - 1, 1, 1 << (n - 1)]
+            masks += [rng.getrandbits(n) for _ in range(50)]
+            for mask in masks:
+                assert profile_string(mask, n) == str(ActionProfile.from_mask(mask, n))
 
     def test_bad_string_rejected(self):
         with pytest.raises(ScenarioError):

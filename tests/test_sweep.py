@@ -25,7 +25,9 @@ from wardgames import (
     is_nash,
     set_by_path,
     sweep_parameter,
+    enumerate_nash,
     symmetric_scenario,
+    welfare,
 )
 from wardgames.sweep import MAX_GRID_POINTS, PREDICATES
 
@@ -182,6 +184,82 @@ class TestSweep:
             SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=MAX_GRID_POINTS + 1)
         with pytest.raises(ScenarioError):
             SweepSpec(parameter_path="x", values=[0.0] * (MAX_GRID_POINTS + 1))
+
+
+def first_k_oracle(s: Scenario) -> tuple[str, float | None, int]:
+    """Classification, welfare gap and Nash count of a symmetric scenario from
+    is_nash and welfare on the profile whose first k wards expose, per k."""
+    n = s.n
+    prefixes = [ActionProfile.from_mask((1 << k) - 1, n) for k in range(n + 1)]
+    checks = [is_nash(s, p) for p in prefixes]
+    welfares = [welfare(s, p) for p in prefixes]
+    nash_k = [k for k in range(n + 1) if checks[k].is_nash]
+    # ward 0 exposes in every prefix k >= 1; ward n - 1 buffers in every k < n
+    if all(0 in checks[k].violating_wards for k in range(1, n + 1)):
+        cls = "DominantBuffer"
+    elif all(n - 1 in checks[k].violating_wards for k in range(n)):
+        cls = "DominantExpose"
+    elif checks[0].is_nash and checks[n].is_nash:
+        cls = "Bistable"
+    else:
+        cls = "Mixed/Other"
+    gap = max(welfares) - max(welfares[k] for k in nash_k) if nash_k else None
+    return cls, gap, sum(math.comb(n, k) for k in nash_k)
+
+
+class TestNashSetsOfAnySize:
+    def test_sweep_without_nash_set_passes_the_cap(self):
+        # at penalty 1.4 the 30 wards have 824,776,359 Nash profiles
+        s = symmetric_scenario(
+            30, 2.0, 1.0, LinearBenefit(0.3), [Observability(0.5, 0.0, 1.4)]
+        )
+        spec = SweepSpec(
+            parameter_path="interventions[0].penalty",
+            values=(1.0, 1.4, 2.0),
+            observables=("classification", "welfare_gap"),
+        )
+        start = time.perf_counter()
+        rows = sweep_parameter(s, spec)
+        assert time.perf_counter() - start < 1.0
+        for row in rows:
+            point = set_by_path(s, "interventions[0].penalty", row["value"])
+            cls, gap, count = first_k_oracle(point)
+            assert (row["classification"], row["welfare_gap"]) == (cls, gap)
+            assert enumerate_nash(point).nash_count == count
+        assert first_k_oracle(s)[2] == 824_776_359
+
+    def test_nash_set_sweep_compiles_once_and_builds_no_profiles(self, monkeypatch):
+        # C(14, 7) = 3432 pivotal 7-exposer profiles plus all-Buffer per point
+        import wardgames.equilibrium as equilibrium
+        import wardgames.sweep as sweep
+        from wardgames.interventions import payoff_tables
+
+        s = symmetric_scenario(14, 2.0, 1.0, ThresholdBenefit(tau=7, beta=3.0))
+        spec = SweepSpec(parameter_path="benefit.beta", lo=2.0, hi=4.0, steps=21,
+                         observables=("nash_set", "flip_margins"))
+        compiles = []
+        built = []
+        post_init = ActionProfile.__post_init__
+
+        def counting_tables(scenario):
+            compiles.append(scenario)
+            return payoff_tables(scenario)
+
+        def counting_post_init(profile):
+            built.append(profile)
+            post_init(profile)
+
+        monkeypatch.setattr(sweep, "payoff_tables", counting_tables)
+        monkeypatch.setattr(equilibrium, "payoff_tables", counting_tables)
+        monkeypatch.setattr(ActionProfile, "__post_init__", counting_post_init)
+        rows = sweep_parameter(s, spec)
+        monkeypatch.undo()
+        assert len(compiles) == 21
+        assert len(built) <= 2 * 21
+        assert all(len(row["nash_set"]) == 3433 for row in rows)
+        for row in rows[::10]:
+            report = enumerate_nash(set_by_path(s, "benefit.beta", row["value"]))
+            assert row["nash_set"] == [str(p) for p, _ in report.nash_profiles]
 
 
 class TestCriticalThreshold:
