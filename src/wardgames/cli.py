@@ -57,6 +57,7 @@ from .model import (
 )
 from .sweep import (
     MAX_GRID_POINTS,
+    NASH_OBSERVABLES,
     SweepSpec,
     ThresholdResult,
     critical_threshold,
@@ -74,6 +75,11 @@ EXIT_CONFIG = 2
 # builds one Ward per declared ward (10^6 took 4.9 s and 224 MB), and no
 # analysis here is useful at that size.
 MAX_WARDS = 10**5
+
+# Larger scenarios are refused by analyze, report and Nash-observable sweeps
+# before any analysis: one Nash analysis is about O(N^2), 8.8 s symmetric and
+# 13.5 s asymmetric at 4096 wards, and report and sweep run one per grid point.
+MAX_NASH_WARDS = 4096
 
 
 @dataclass(frozen=True)
@@ -583,6 +589,11 @@ def _load_with_diagnostics(path: str) -> tuple[Scenario, RunOptions, list[str]]:
     return scenario, options, warnings
 
 
+def _require_nash_size(scenario: Scenario) -> None:
+    _require(scenario.n <= MAX_NASH_WARDS, "n_wards", f"Nash analysis supports at most "
+             f"{MAX_NASH_WARDS} wards, got {scenario.n}: each analysis costs O(N^2)")
+
+
 def _run_epsilon(args: argparse.Namespace, options: RunOptions) -> float:
     """--epsilon when given, else the scenario file's options.epsilon."""
     if args.epsilon is None:
@@ -592,6 +603,7 @@ def _run_epsilon(args: argparse.Namespace, options: RunOptions) -> float:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     scenario, options, warnings = _load_with_diagnostics(args.scenario)
+    _require_nash_size(scenario)
     epsilon = _run_epsilon(args, options)
     eq = enumerate_nash(scenario, epsilon=epsilon)
     flip = flip_conditions(scenario, epsilon=epsilon)
@@ -692,6 +704,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         steps=args.steps,
         observables=observables,
     )
+    if NASH_OBSERVABLES & set(observables):
+        _require_nash_size(scenario)
     rows = sweep_parameter(scenario, spec, epsilon=epsilon)
     _write_output(sweep_rows_to_csv(rows, observables, scenario.n), args.out)
     return EXIT_OK
@@ -725,6 +739,7 @@ def _canonical_sweeps(scenario: Scenario) -> list[tuple[int, str, str, float, fl
 
 def cmd_report(args: argparse.Namespace) -> int:
     scenario, options, warnings = _load_with_diagnostics(args.scenario)
+    _require_nash_size(scenario)
     epsilon = options.epsilon
     bundle = Path(args.bundle)
     bundle.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,8 @@ from .interventions import (
     Mechanism,
     Observability,
     PayoffTables,
-    effective_payoff,
+    _cost_rule,
+    _payoff,
     payoff_tables,
 )
 from .model import Action, ActionProfile, Scenario, welfare
@@ -145,11 +146,10 @@ def best_response(
         raise ScenarioError(
             f"profile-of-others must have {n - 1} actions, got {len(others)}"
         )
-    acts = list(others)
-    acts.insert(ward, Action.EXPOSE)
-    u_e = effective_payoff(scenario, ActionProfile(tuple(acts)), ward)
-    acts[ward] = Action.BUFFER
-    u_b = effective_payoff(scenario, ActionProfile(tuple(acts)), ward)
+    k = ActionProfile(tuple(others)).exposer_count  # also checks every entry
+    rule = _cost_rule(scenario)
+    u_e = _payoff(scenario, rule, ward, True, k + 1)
+    u_b = _payoff(scenario, rule, ward, False, k)
     if abs(u_e - u_b) <= epsilon:
         return {Action.EXPOSE, Action.BUFFER}
     return {Action.EXPOSE} if u_e > u_b else {Action.BUFFER}
@@ -168,12 +168,15 @@ def is_nash(
         raise ScenarioError(
             f"profile length {len(profile)} does not match {scenario.n} wards"
         )
+    rule = _cost_rule(scenario)
+    k = profile.exposer_count
     violators = set()
     strict = True
-    for i in range(scenario.n):
-        u_cur = effective_payoff(scenario, profile, i)
-        dev = profile.with_action(i, profile.actions[i].flipped())
-        u_dev = effective_payoff(scenario, dev, i)
+    for i, action in enumerate(profile.actions):
+        expose = action is Action.EXPOSE
+        u_cur = _payoff(scenario, rule, i, expose, k)
+        # ward i switching alone moves the exposer count by one
+        u_dev = _payoff(scenario, rule, i, not expose, k - 1 if expose else k + 1)
         gain = u_dev - u_cur
         if gain > epsilon:
             violators.add(i)
@@ -290,9 +293,9 @@ def _dominant_strategies(
 
 def _welfare_search(
     tables: PayoffTables, plan: Sequence[NashBlock]
-) -> tuple[int, int | None]:
-    """Masks of the welfare optimum and of the best Nash profile (None when
-    the plan is empty), without scanning all 2^N profiles.
+) -> tuple[tuple[float, int], tuple[float, int] | None]:
+    """(welfare, mask) of the welfare optimum and of the best Nash profile
+    (None when the plan is empty), without scanning all 2^N profiles.
 
     Welfare separates per exposer count k into a base term plus a per-ward
     contribution w_i(k), so the best k-profile takes the k wards with the
@@ -346,7 +349,7 @@ def _welfare_search(
             if best_nash is None or w > best_nash[0]:
                 best_nash = (w, sum(1 << i for i in exposers))
     assert best is not None
-    return best[1], None if best_nash is None else best_nash[1]
+    return best, best_nash
 
 
 def enumerate_nash(scenario: Scenario, epsilon: float = 0.0) -> EquilibriumReport:
@@ -358,23 +361,26 @@ def enumerate_nash(scenario: Scenario, epsilon: float = 0.0) -> EquilibriumRepor
     The payoff tables are built once; welfare() is called only on the
     welfare optimum and on the best Nash profile.
     """
-    return _analyse(scenario, payoff_tables(scenario), epsilon)
+    return _analyse(scenario, payoff_tables(scenario), epsilon, oracle=True)
 
 
 def _analyse(
-    scenario: Scenario, tables: PayoffTables, epsilon: float
+    scenario: Scenario, tables: PayoffTables, epsilon: float, *, oracle: bool
 ) -> EquilibriumReport:
-    """enumerate_nash on the scenario's compiled game `tables`."""
+    """enumerate_nash on the scenario's compiled game `tables`. Unless
+    `oracle` is set, both welfare figures are the welfare search's scores,
+    which equal welfare() bit for bit, and welfare() is not called."""
     n = scenario.n
     bad_e, bad_b, weak_e, weak_b = _deviation_masks(tables, epsilon)
     plan = _nash_plan(n, bad_e, bad_b, weak_e, weak_b)
     dominant = _dominant_strategies(n, bad_e, bad_b)
-    opt_mask, nash_mask = _welfare_search(tables, plan)
+    (opt_welfare, opt_mask), best_nash = _welfare_search(tables, plan)
     opt_profile = ActionProfile.from_mask(opt_mask, n)
-    opt_welfare = welfare(scenario, opt_profile)
-    gap: float | None = None
-    if nash_mask is not None:
-        gap = opt_welfare - welfare(scenario, ActionProfile.from_mask(nash_mask, n))
+    gap = None if best_nash is None else opt_welfare - best_nash[0]
+    if oracle:  # both figures from the welfare() oracle instead
+        opt_welfare = welfare(scenario, opt_profile)
+        if best_nash is not None:
+            gap = opt_welfare - welfare(scenario, ActionProfile.from_mask(best_nash[1], n))
     # mask 0 is the only Nash profile with k = 0, all-Expose the only one with k = N
     counts = {b.k for b in plan}
     if all(d is Action.BUFFER for d in dominant):

@@ -171,13 +171,18 @@ def effective_payoff(scenario: Scenario, profile: ActionProfile, ward: int) -> f
     n = scenario.n
     if not 0 <= ward < n:
         raise ScenarioError(f"ward index {ward} out of range [0, {n - 1}]")
-    action = profile.actions[ward]
-    k = profile.exposer_count
-    ce, cb = _ward_costs(scenario, ward, _cost_rule(scenario))
-    u = benefit_at_count(scenario.benefit, k, n) - (
-        ce if action is Action.EXPOSE else cb
-    )
-    if action is Action.BUFFER:
+    expose = profile.actions[ward] is Action.EXPOSE
+    return _payoff(scenario, _cost_rule(scenario), ward, expose, profile.exposer_count)
+
+
+def _payoff(scenario: Scenario, rule: tuple[Mechanism | None, float, float],
+            ward: int, expose: bool, k: int) -> float:
+    """effective_payoff of `ward` exposing (or buffering) in a profile with
+    k exposers in all, under the scenario's `_cost_rule`."""
+    n = scenario.n
+    ce, cb = _ward_costs(scenario, ward, rule)
+    u = benefit_at_count(scenario.benefit, k, n) - (ce if expose else cb)
+    if not expose:
         # a buffering ward is not an exposer, so k_others == k here
         pen = buffering_penalty(scenario, k, n)
         if pen != 0.0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import total_ordering
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import ScenarioError
@@ -19,21 +19,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .interventions import Intervention
 
 
-@total_ordering
 class Action(Enum):
-    """A ward's choice. Expose orders before Buffer for deterministic iteration."""
+    """A ward's choice."""
 
     EXPOSE = "E"
     BUFFER = "B"
-
-    @property
-    def _rank(self) -> int:
-        return 0 if self is Action.EXPOSE else 1
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Action):
-            return NotImplemented
-        return self._rank < other._rank
 
     def __str__(self) -> str:
         return self.value
@@ -52,9 +42,9 @@ class ActionProfile:
         acts = tuple(self.actions)
         if not acts:
             raise ScenarioError("profile must contain at least one action")
-        for a in acts:
-            if not isinstance(a, Action):
-                raise ScenarioError(f"profile entries must be Action, got {a!r}")
+        if not {Action}.issuperset(map(type, acts)):
+            bad = next(a for a in acts if not isinstance(a, Action))
+            raise ScenarioError(f"profile entries must be Action, got {bad!r}")
         object.__setattr__(self, "actions", acts)
 
     def __len__(self) -> int:
@@ -63,7 +53,7 @@ class ActionProfile:
     def __str__(self) -> str:
         return "".join(a.value for a in self.actions)
 
-    @property
+    @cached_property
     def exposer_count(self) -> int:
         return self.actions.count(Action.EXPOSE)
 

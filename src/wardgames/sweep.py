@@ -19,6 +19,8 @@ from .interventions import is_symmetric, payoff_tables
 from .model import Scenario, profile_string
 
 OBSERVABLES = ("nash_set", "classification", "welfare_gap", "flip_margins")
+# the observables that need a Nash analysis of each grid point
+NASH_OBSERVABLES = frozenset({"nash_set", "classification", "welfare_gap"})
 
 # Every grid point runs a full analysis, so larger grids are refused.
 MAX_GRID_POINTS = 10**5
@@ -157,8 +159,8 @@ def sweep_parameter(
         s = set_by_path(scenario, spec.parameter_path, value)
         tables = payoff_tables(s)
         row: dict[str, Any] = {"value": value}
-        if {"nash_set", "classification", "welfare_gap"} & observables:
-            report = _analyse(s, tables, epsilon)
+        if NASH_OBSERVABLES & observables:
+            report = _analyse(s, tables, epsilon, oracle=False)
             if "nash_set" in observables:
                 row["nash_set"] = [profile_string(m, s.n) for m, _ in report.nash_masks]
             if "classification" in observables:

@@ -598,6 +598,59 @@ class TestFlagErrors:
             parse_scenario_document({**s0_doc(), "n_wards": 5})
 
 
+class TestNashWardsCap:
+    OBSERVED = {"kind": "observability", "p0": 0.5, "penalty": 1.0}
+
+    def nash_commands(self, path: Path, tmp_path: Path) -> list[list[str]]:
+        sweep = ["sweep", str(path), "--path", "interventions[0].penalty",
+                 "--lo", "0", "--hi", "2", "--steps", "3"]
+        return [
+            ["analyze", str(path)],
+            ["report", str(path), "--bundle", str(tmp_path / "bundle")],
+            sweep,
+            sweep + ["--observables", "flip_margins,welfare_gap"],
+        ]
+
+    def test_above_the_cap_exits_2_before_any_analysis(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analysis ran above the cap")
+
+        monkeypatch.setattr(cli, "enumerate_nash", refuse)
+        monkeypatch.setattr(cli, "sweep_parameter", refuse)
+        over = cli.MAX_NASH_WARDS + 1
+        doc = {**s0_doc(), "n_wards": over, "interventions": [self.OBSERVED]}
+        path = write_scenario(tmp_path, doc)
+        for argv in self.nash_commands(path, tmp_path):
+            start = time.perf_counter()
+            assert main(argv) == 2, argv
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err == (
+                f"error: n_wards: Nash analysis supports at most {cli.MAX_NASH_WARDS} "
+                f"wards, got {over}: each analysis costs O(N^2)\n"
+            )
+        assert not (tmp_path / "bundle").exists()
+
+    def test_at_the_cap_accepted(self, tmp_path, capsys, monkeypatch):
+        path = write_scenario(tmp_path, {**s0_doc(), "interventions": [self.OBSERVED]})
+        monkeypatch.setattr(cli, "MAX_NASH_WARDS", 4)
+        for argv in self.nash_commands(path, tmp_path):
+            assert main(argv) == 0, argv
+        monkeypatch.setattr(cli, "MAX_NASH_WARDS", 3)
+        for argv in self.nash_commands(path, tmp_path):
+            assert main(argv) == 2, argv
+        capsys.readouterr()
+
+    def test_commands_without_nash_analysis_are_not_capped(self, tmp_path, monkeypatch):
+        path = write_scenario(tmp_path, {**s0_doc(), "interventions": [self.OBSERVED]})
+        monkeypatch.setattr(cli, "MAX_NASH_WARDS", 3)
+        sweep = ["sweep", str(path), "--path", "interventions[0].penalty", "--lo", "0",
+                 "--hi", "2", "--out", str(tmp_path / "out")]
+        assert main(sweep + ["--observables", "flip_margins"]) == 0
+        assert main(sweep + ["--critical", "--predicate", "all_buffer_not_nash"]) == 0
+        assert main(["dynamics", str(path), "--initial", "EBBB",
+                     "--out", str(tmp_path / "trace.csv")]) == 0
+
+
 class TestSweep:
     def test_sweep_csv_header_and_rows(self, capsys):
         assert main(

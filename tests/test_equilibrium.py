@@ -15,6 +15,7 @@ from wardgames import (
     LinearBenefit,
     Mechanism,
     MechanismMode,
+    NashCheck,
     Observability,
     ResourceLimitError,
     Scenario,
@@ -23,6 +24,7 @@ from wardgames import (
     ThresholdBenefit,
     Ward,
     best_response,
+    effective_payoff,
     enumerate_nash,
     flip_conditions,
     is_nash,
@@ -77,6 +79,62 @@ class TestIsNash:
         # margin to deviate from all-Buffer is -0.7; a huge epsilon makes it weak
         ok, _, strict = is_nash(s0, ActionProfile.all_buffer(4), epsilon=0.8)
         assert ok and not strict
+
+
+def reference_is_nash(
+    scenario: Scenario, profile: ActionProfile, epsilon: float = 0.0
+) -> NashCheck:
+    """is_nash written out with a deviated profile and two effective_payoff
+    calls per ward, sharing none of its shortcuts."""
+    violators = set()
+    strict = True
+    for i in range(scenario.n):
+        u_cur = effective_payoff(scenario, profile, i)
+        dev = profile.with_action(i, profile.actions[i].flipped())
+        gain = effective_payoff(scenario, dev, i) - u_cur
+        if gain > epsilon:
+            violators.add(i)
+        if gain >= -epsilon:
+            strict = False
+    ok = not violators
+    return NashCheck(ok, frozenset(violators), strict if ok else False)
+
+
+class TestIsNashReference:
+    def test_equals_reference_on_every_profile(self):
+        rng = random.Random(41)
+        for trial in range(60):
+            if trial % 2:
+                s = repeated_costs_scenario(rng, max_n=6, with_interventions=True)
+            else:
+                s = random_scenario(rng, max_n=6, with_interventions=True)
+            profiles = [ActionProfile.from_mask(m, s.n) for m in range(1 << s.n)]
+            # an exact margin: one ward's deviation gain, so gain == epsilon occurs
+            p, i = rng.choice(profiles), rng.randrange(s.n)
+            dev = p.with_action(i, p.actions[i].flipped())
+            margin = abs(effective_payoff(s, dev, i) - effective_payoff(s, p, i))
+            for epsilon in (0.0, margin):
+                for profile in profiles:
+                    expected = reference_is_nash(s, profile, epsilon)
+                    assert is_nash(s, profile, epsilon) == expected, (s, profile, epsilon)
+
+    def test_best_response_equals_payoff_comparison(self):
+        rng = random.Random(43)
+        for trial in range(40):
+            if trial % 2:
+                s = repeated_costs_scenario(rng, max_n=5, with_interventions=True)
+            else:
+                s = random_scenario(rng, max_n=5, with_interventions=True)
+            for mask in range(1 << s.n):
+                p = ActionProfile.from_mask(mask, s.n)
+                for i in range(s.n):
+                    u_e = effective_payoff(s, p.with_action(i, Action.EXPOSE), i)
+                    u_b = effective_payoff(s, p.with_action(i, Action.BUFFER), i)
+                    others = p.actions[:i] + p.actions[i + 1:]
+                    for epsilon in (0.0, abs(u_e - u_b)):
+                        payoffs = ((Action.EXPOSE, u_e), (Action.BUFFER, u_b))
+                        expected = {a for a, u in payoffs if max(u_e, u_b) - u <= epsilon}
+                        assert best_response(s, others, i, epsilon) == expected
 
 
 class TestEnumerate:

@@ -107,9 +107,30 @@ class TestProfile:
         with pytest.raises(ScenarioError):
             ActionProfile.from_string("EBXB")
 
-    def test_action_ordering(self):
-        assert Action.EXPOSE < Action.BUFFER
-        assert sorted([Action.BUFFER, Action.EXPOSE]) == [Action.EXPOSE, Action.BUFFER]
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("bad", ["E", 1, None, True])
+    def test_non_action_entry_named(self, position, bad):
+        acts = [Action.EXPOSE, Action.BUFFER] * 3 + [Action.EXPOSE]
+        acts[position] = bad
+        if position < 6:
+            acts[6] = "later"  # only the first bad entry is named
+        with pytest.raises(ScenarioError) as exc:
+            ActionProfile(tuple(acts))
+        assert str(exc.value) == f"profile entries must be Action, got {bad!r}"
+
+    def test_exposer_count_of_derived_profiles(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            mask = rng.getrandbits(n)
+            p = ActionProfile.from_mask(mask, n)
+            assert p.exposer_count == bin(mask).count("1")
+            assert ActionProfile.from_string(str(p)).exposer_count == p.exposer_count
+            i = rng.randrange(n)
+            q = p.with_action(i, p.actions[i].flipped())
+            assert q.exposer_count == bin(mask ^ 1 << i).count("1")
+            assert q.with_action(i, p.actions[i]).exposer_count == p.exposer_count
+            assert p.exposer_count == bin(mask).count("1")
 
 
 class TestScenarioValidation:

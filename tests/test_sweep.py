@@ -14,6 +14,7 @@ from wardgames import (
     EffortReduction,
     LinearBenefit,
     Mechanism,
+    MechanismMode,
     Observability,
     Scenario,
     ScenarioError,
@@ -29,6 +30,8 @@ from wardgames import (
     symmetric_scenario,
     welfare,
 )
+from wardgames.equilibrium import _analyse
+from wardgames.interventions import payoff_tables
 from wardgames.sweep import MAX_GRID_POINTS, PREDICATES
 
 from conftest import random_scenario, repeated_costs_scenario
@@ -184,6 +187,70 @@ class TestSweep:
             SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=MAX_GRID_POINTS + 1)
         with pytest.raises(ScenarioError):
             SweepSpec(parameter_path="x", values=[0.0] * (MAX_GRID_POINTS + 1))
+
+
+def swept_path(s: Scenario) -> tuple[str, float, float]:
+    """A parameter path of the scenario with a bracket to sweep it over."""
+    max_ce = max(w.cost_expose for w in s.wards)
+    for i, iv in enumerate(s.interventions):
+        if isinstance(iv, Observability):
+            return f"interventions[{i}].penalty", 0.0, 4.0 * max_ce
+        if isinstance(iv, EffortReduction):
+            return f"interventions[{i}].delta_expose", 0.0, 2.0 * max_ce
+        if isinstance(iv, Mechanism):
+            index = "[0]" if isinstance(iv.capped_cost_expose, tuple) else ""
+            return f"interventions[{i}].capped_cost_expose{index}", 0.0, max_ce
+    return "wards[0].cost_expose", 0.0, 2.0 * max_ce
+
+
+class TestSweepWelfareFromTheSearch:
+    """Sweep rows take the welfare gap from the welfare search, not welfare()."""
+
+    @staticmethod
+    def scenarios():
+        rng = random.Random(137)
+        for trial in range(90):
+            if trial % 3 == 0:
+                s = repeated_costs_scenario(rng, with_interventions=True)
+            else:
+                s = random_scenario(rng, with_interventions=True)
+            if trial % 4 == 0:
+                cap = rng.uniform(0.0, max(w.cost_expose for w in s.wards))
+                mech = Mechanism(cap, MechanismMode.REDISTRIBUTE)
+                s = Scenario(s.wards, s.benefit, s.interventions + (mech,))
+            yield s, rng.choice((0.0, 0.25))
+
+    def test_rows_equal_enumerate_nash_bit_for_bit(self, monkeypatch):
+        import wardgames.equilibrium as equilibrium
+
+        calls = []
+
+        def counting(scenario, profile):
+            calls.append(profile)
+            return welfare(scenario, profile)
+
+        monkeypatch.setattr(equilibrium, "welfare", counting)
+        kinds = set()
+        for s, epsilon in self.scenarios():
+            kinds.add(epsilon)
+            kinds.update(type(iv).__name__ for iv in s.interventions)
+            kinds.update(iv.mode for iv in s.interventions if isinstance(iv, Mechanism))
+            path, lo, hi = swept_path(s)
+            spec = SweepSpec(parameter_path=path, lo=lo, hi=hi, steps=9,
+                             observables=("classification", "welfare_gap"))
+            before = len(calls)
+            rows = sweep_parameter(s, spec, epsilon=epsilon)
+            assert len(calls) == before, "sweep_parameter called welfare()"
+            for row in rows:
+                point = set_by_path(s, path, row["value"])
+                ref = enumerate_nash(point, epsilon=epsilon)
+                assert row["classification"] == ref.classification.value
+                # repr tells every float apart, -0.0 from 0.0 included
+                assert repr(row["welfare_gap"]) == repr(ref.welfare_gap), (s, row)
+                fast = _analyse(point, payoff_tables(point), epsilon, oracle=False)
+                assert repr(fast.welfare_optimum) == repr(ref.welfare_optimum)
+        assert {0.0, 0.25, "EffortReduction", "Observability", "Mechanism",
+                MechanismMode.REDISTRIBUTE} <= kinds
 
 
 def first_k_oracle(s: Scenario) -> tuple[str, float | None, int]:
