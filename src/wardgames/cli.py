@@ -81,6 +81,10 @@ MAX_WARDS = 10**5
 # 13.5 s asymmetric at 4096 wards, and report and sweep run one per grid point.
 MAX_NASH_WARDS = 4096
 
+# Larger n_wards x (max_iters + 1) is refused by best-response dynamics before
+# any move: each CSV row holds an N-letter profile, so 10^8 is ~100 MB of CSV.
+MAX_TRACE_CELLS = 10**8
+
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -469,9 +473,10 @@ def _write_output(text: str, out: str | None) -> None:
 
 def trace_to_csv(trace: DynamicsTrace) -> str:
     # no cell needs CSV quoting: ints, E/B strings and float reprs
+    n, moves = len(trace.initial), [("", 0.0), *trace.moves]
     rows = (
-        f"{i},{s.profile},{'' if s.mover is None else s.mover},{s.payoff_delta!r}\n"
-        for i, s in enumerate(trace.steps)
+        f"{i},{profile_string(mask, n)},{ward},{delta!r}\n"
+        for i, (mask, (ward, delta)) in enumerate(zip(trace.masks(), moves))
     )
     return "step,profile,mover,payoff_delta\n" + "".join(rows)
 
@@ -652,16 +657,18 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     profile = _build(ActionProfile.from_string, "--initial", text=args.initial)
     _require(len(profile) == scenario.n, "--initial",
              f"initial profile length {len(profile)} does not match {scenario.n} wards")
+    max_iters, iters_path = options.max_iters, "options.max_iters"
+    if args.max_iters is not None:
+        max_iters, iters_path = _at_least_one(args.max_iters, "--max-iters"), "--max-iters"
+    _require(scenario.n * (max_iters + 1) <= MAX_TRACE_CELLS, iters_path,
+             f"{scenario.n} wards x ({max_iters} + 1) trace rows exceed "
+             f"{MAX_TRACE_CELLS} CSV cells")
     seed = args.seed if args.seed is not None else options.rng_seed
     trace = best_response_dynamics(
         scenario,
         profile,
         schedule=args.schedule,
-        max_iters=(
-            options.max_iters
-            if args.max_iters is None
-            else _at_least_one(args.max_iters, "--max-iters")
-        ),
+        max_iters=max_iters,
         tie_break=args.tie_break,
         seed=seed,
         epsilon=_run_epsilon(args, options),
@@ -785,6 +792,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache  # each build costs ~1 ms and leaves cycles only gc frees
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wardgames",

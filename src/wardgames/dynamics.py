@@ -11,7 +11,8 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
 
 from .errors import NumericalError, ScenarioError
 from .interventions import payoff_tables
@@ -40,19 +41,25 @@ class TraceTerminal(Enum):
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One recorded state; mover is None only for the initial entry."""
-
-    profile: ActionProfile
-    mover: int | None
-    payoff_delta: float
-
-
-@dataclass(frozen=True)
 class DynamicsTrace:
-    steps: tuple[TraceStep, ...]
+    """The starting profile, each move as (ward, payoff delta), and how the
+    run ended: O(moves) memory, whatever N is."""
+
+    initial: ActionProfile
+    moves: tuple[tuple[int, float], ...]
     terminal: TraceTerminal
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.moves)
+
+    def masks(self) -> Iterator[int]:
+        """The exposer mask before the first move and after each move."""
+        mask = self.initial.mask
+        yield mask
+        for ward, _ in self.moves:
+            mask ^= 1 << ward
+            yield mask
 
 
 class Stability(Enum):
@@ -116,58 +123,46 @@ def best_response_dynamics(
         raise ScenarioError("the random schedule requires an explicit seed")
     tables = payoff_tables(scenario)
     rng = random.Random(seed) if schedule == "random" else None
-    preferred = {
-        "stay": None,
-        "expose": Action.EXPOSE,
-        "buffer": Action.BUFFER,
-    }[tie_break]
+    preferred = {"stay": None, "expose": 1, "buffer": 0}[tie_break]
 
-    def decide(profile: ActionProfile, ward: int) -> float | None:
+    def decide(ward: int) -> float | None:
         """Payoff change if the ward switches now, else None."""
-        cur = profile.actions[ward]
-        k_others = count - (1 if cur is Action.EXPOSE else 0)
-        gain = tables.gain_to_expose(ward, k_others)
-        if cur is Action.EXPOSE:
+        exposing = mask >> ward & 1
+        gain = tables.gain_to_expose(ward, count - exposing)
+        if exposing:
             gain = -gain
-        if gain > epsilon:
-            return gain
-        if abs(gain) <= epsilon and preferred is not None and cur is not preferred:
+        if gain > epsilon or (abs(gain) <= epsilon and preferred not in (None, exposing)):
             return gain
         return None
 
-    profile = initial
-    count = profile.exposer_count  # carried along, so decide is O(1)
-    steps = [TraceStep(profile, None, 0.0)]
-    moves = 0
+    # carried along, so decide is O(1) and a move is one bit flip
+    mask, count = initial.mask, initial.exposer_count
+    moves: list[tuple[int, float]] = []
     pointer = 0
-    seen = {(profile.mask, pointer)}
-    terminal = TraceTerminal.MAX_ITERS_REACHED
-    while True:
-        if all(decide(profile, i) is None for i in range(n)):
-            terminal = TraceTerminal.CONVERGED_TO_NASH
-            break
-        if moves >= max_iters:
+    seen = {(mask, pointer)}
+    terminal = TraceTerminal.CONVERGED_TO_NASH
+    # a turn without a move changes nothing, so stability is checked after moves
+    # only, from the next scheduled ward (where round robin finds its mover)
+    while not all(decide(i) is None for i in chain(range(pointer, n), range(pointer))):
+        if len(moves) >= max_iters:
             terminal = TraceTerminal.MAX_ITERS_REACHED
             break
-        if rng is not None:
-            ward = rng.randrange(n)
-        else:
-            ward = pointer
-            pointer = (pointer + 1) % n
-        gain = decide(profile, ward)
-        if gain is None:
-            continue
-        count += 1 if profile.actions[ward] is Action.BUFFER else -1
-        profile = profile.with_action(ward, profile.actions[ward].flipped())
-        steps.append(TraceStep(profile, ward, gain))
-        moves += 1
+        gain = None
+        while gain is None:
+            if rng is not None:
+                ward = rng.randrange(n)
+            else:
+                ward, pointer = pointer, (pointer + 1) % n
+            gain = decide(ward)
+        mask ^= 1 << ward
+        count += 1 if mask >> ward & 1 else -1
+        moves.append((ward, gain))
         if rng is None:
-            state = (profile.mask, pointer)
-            if state in seen:
+            if (mask, pointer) in seen:
                 terminal = TraceTerminal.CYCLE_DETECTED
                 break
-            seen.add(state)
-    return DynamicsTrace(steps=tuple(steps), terminal=terminal, iterations=moves)
+            seen.add((mask, pointer))
+    return DynamicsTrace(initial, tuple(moves), terminal)
 
 
 def exact_potential(scenario: Scenario, profile: ActionProfile) -> float:

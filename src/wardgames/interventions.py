@@ -116,8 +116,8 @@ def detection_probability(params: Observability, k_others: int, n: int) -> float
 
 
 def _cost_rule(scenario: Scenario) -> tuple[Mechanism | None, float, float]:
-    """The governing (last) mechanism, its per-ward caps checked against N,
-    and the summed effort deltas (expose, buffer)."""
+    """The governing (last) mechanism and the summed effort deltas (expose,
+    buffer). Scenario already checked any per-ward caps against N."""
     mech: Mechanism | None = None
     d_e = 0.0
     d_b = 0.0
@@ -127,12 +127,6 @@ def _cost_rule(scenario: Scenario) -> tuple[Mechanism | None, float, float]:
         elif isinstance(iv, EffortReduction):
             d_e += iv.delta_expose
             d_b += iv.delta_buffer
-    if mech is not None and isinstance(mech.capped_cost_expose, tuple):
-        if len(mech.capped_cost_expose) != scenario.n:
-            raise ScenarioError(
-                f"capped_cost_expose has {len(mech.capped_cost_expose)} entries "
-                f"but the scenario has {scenario.n} wards"
-            )
     return mech, d_e, d_b
 
 

@@ -29,6 +29,10 @@ MAX_GRID_POINTS = 10**5
 # steps, so this cap is a backstop that no valid bracket hits.
 _MAX_BISECT_ITERS = 2200
 
+# Bisection stops at this bracket width, about 30 halvings of a unit bracket;
+# each halving re-evaluates the predicate on a rebuilt scenario.
+_BISECT_WIDTH = 1e-9
+
 _PATH_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
 
 
@@ -252,14 +256,13 @@ def critical_threshold(
     hi: float,
     predicate: str,
     epsilon: float = 0.0,
-    tol: float = 1e-9,
 ) -> ThresholdResult:
     """Bisect for the parameter value where the predicate flips.
 
     The predicate must differ at the two ends of the bracket. Bisection
-    narrows the bracket to `tol`, or to two adjacent floats when `tol` is
-    finer than the float spacing there, and reports its midpoint; the
-    boundary itself is evaluated with weak-Nash semantics.
+    narrows the bracket to _BISECT_WIDTH, or to two adjacent floats when the
+    float spacing there is coarser, and reports its midpoint; the boundary
+    itself is evaluated with weak-Nash semantics.
     """
     if not lo < hi:
         raise ScenarioError(f"need lo < hi, got lo={lo}, hi={hi}")
@@ -276,7 +279,7 @@ def critical_threshold(
         )
     a, b = lo, hi
     iterations = 0
-    while b - a > tol and iterations < _MAX_BISECT_ITERS:
+    while b - a > _BISECT_WIDTH and iterations < _MAX_BISECT_ITERS:
         mid = 0.5 * a + 0.5 * b  # halving first cannot overflow
         if not a < mid < b:
             break  # a and b are adjacent floats: the bracket cannot shrink

@@ -77,6 +77,24 @@ class TestParser:
         )
         assert args.critical and args.predicate == "all_buffer_not_nash"
 
+    def test_main_reuses_one_parser_and_no_flag_leaks(self, monkeypatch, capsys):
+        epsilons = []
+        run_epsilon = cli._run_epsilon
+
+        def spy(args, options):
+            epsilons.append(args.epsilon)
+            return run_epsilon(args, options)
+
+        monkeypatch.setattr(cli, "_run_epsilon", spy)
+        scenario = str(SCENARIOS / "s0_baseline.json")
+        build_parser.cache_clear()
+        assert main(["analyze", scenario, "--epsilon", "0.5"]) == 0
+        assert main(["analyze", scenario]) == 0
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert epsilons == [0.5, None]
+        capsys.readouterr()
+
     def test_unknown_schedule_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -505,13 +523,12 @@ class TestDynamics:
         trace = best_response_dynamics(
             s0, ActionProfile.from_string("EBEE"), schedule="random", seed=5
         )
+        profile, rows = trace.initial, [[0, str(trace.initial), "", repr(0.0)]]
+        for i, (ward, delta) in enumerate(trace.moves, 1):
+            profile = profile.with_action(ward, profile.actions[ward].flipped())
+            rows.append([i, str(profile), ward, repr(delta)])
         assert cli.trace_to_csv(trace) == reference(
-            ["step", "profile", "mover", "payoff_delta"],
-            [
-                [i, str(st.profile), "" if st.mover is None else st.mover,
-                 repr(st.payoff_delta)]
-                for i, st in enumerate(trace.steps)
-            ],
+            ["step", "profile", "mover", "payoff_delta"], rows
         )
 
     def test_bad_initial_profile_exits_2(self, capsys):
@@ -649,6 +666,63 @@ class TestNashWardsCap:
         assert main(sweep + ["--critical", "--predicate", "all_buffer_not_nash"]) == 0
         assert main(["dynamics", str(path), "--initial", "EBBB",
                      "--out", str(tmp_path / "trace.csv")]) == 0
+
+
+class TestTraceCellsCap:
+    def dynamics(self, tmp_path, doc, *flags):
+        path = write_scenario(tmp_path, doc)
+        initial = "B" * doc["n_wards"]
+        return main(["dynamics", str(path), "--initial", initial,
+                     "--out", str(tmp_path / "trace.csv"), *flags])
+
+    @pytest.mark.parametrize("source", ["--max-iters", "options.max_iters"])
+    def test_above_the_cap_exits_2_before_any_move(self, source, tmp_path, capsys,
+                                                   monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dynamics ran above the cap")
+
+        monkeypatch.setattr(cli, "best_response_dynamics", refuse)
+        n, max_iters = 10**4, 10**4
+        assert n * (max_iters + 1) > cli.MAX_TRACE_CELLS
+        doc = {**s0_doc(), "n_wards": n}
+        flags = ["--max-iters", str(max_iters)]
+        if source == "options.max_iters":
+            doc, flags = {**doc, "options": {"max_iters": max_iters}}, []
+        start = time.perf_counter()
+        assert self.dynamics(tmp_path, doc, *flags) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: {source}: 10000 wards x (10000 + 1) trace rows exceed "
+            f"{cli.MAX_TRACE_CELLS} CSV cells\n"
+        )
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_at_the_cap_accepted(self, tmp_path):
+        n = 10**4
+        max_iters = cli.MAX_TRACE_CELLS // n - 1
+        assert n * (max_iters + 1) == cli.MAX_TRACE_CELLS
+        doc = {**s0_doc(), "n_wards": n}
+        assert self.dynamics(tmp_path, doc, "--max-iters", str(max_iters)) == 0
+        assert (tmp_path / "trace.csv").read_text() == (
+            f"step,profile,mover,payoff_delta\n0,{'B' * n},,0.0\n"
+        )
+
+    def test_below_the_cap_runs_and_one_more_row_exits_2(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TRACE_CELLS", 13)
+        doc = {**s0_doc(), "options": {"max_iters": 2}}
+        assert self.dynamics(tmp_path, doc) == 0
+        capsys.readouterr()
+        assert self.dynamics(tmp_path, doc, "--max-iters", "3") == 2
+        assert capsys.readouterr().err == (
+            "error: --max-iters: 4 wards x (3 + 1) trace rows exceed 13 CSV cells\n"
+        )
+
+    def test_replicator_is_not_capped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TRACE_CELLS", 1)
+        path = write_scenario(tmp_path, s0_doc())
+        assert main(["dynamics", str(path), "--replicator", "--initial", "0.5",
+                     "--out", str(tmp_path / "x.csv")]) == 0
 
 
 class TestSweep:

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from wardgames import (
     symmetric_scenario,
 )
 from wardgames.dynamics import _binomial_mean
+from wardgames.model import profile_string
 from conftest import random_scenario
 
 X_STAR = (1.0 / 3.0) ** (1.0 / 3.0)
@@ -159,6 +161,19 @@ def reference_best_response(scenario, initial, schedule, max_iters, tie_break, s
             seen.add((str(profile), pointer))
 
 
+def trace_steps(trace):
+    """(profile string, mover, repr(delta)) per trace row, the initial one
+    first with mover None and delta 0.0."""
+    n = len(trace.initial)
+    moves = [(None, 0.0), *trace.moves]
+    return [(profile_string(m, n), w, repr(d)) for m, (w, d) in zip(trace.masks(), moves)]
+
+
+def final_profile(trace):
+    *_, mask = trace.masks()
+    return ActionProfile.from_mask(mask, len(trace.initial))
+
+
 def exact_binomial_mean(c, x):
     """sum_j c_j C(m, j) x^j (1 - x)^(m - j) and the same sum over |c_j|, as
     exact fractions. With x = p / q the weights are integers over q^m, each
@@ -190,20 +205,21 @@ class TestBestResponseDynamics:
         trace = best_response_dynamics(s0, ActionProfile.all_expose(4))
         assert trace.terminal is TraceTerminal.CONVERGED_TO_NASH
         assert trace.iterations <= 4
-        assert str(trace.steps[-1].profile) == "BBBB"
+        assert str(final_profile(trace)) == "BBBB"
 
     def test_already_nash_converges_in_zero_moves(self, s0):
         trace = best_response_dynamics(s0, ActionProfile.all_buffer(4))
         assert trace.terminal is TraceTerminal.CONVERGED_TO_NASH
         assert trace.iterations == 0
-        assert len(trace.steps) == 1
+        assert trace.moves == ()
+        assert list(trace.masks()) == [0]
 
     def test_veto_near_miss_unravels(self, v0):
         trace = best_response_dynamics(
             v0, ActionProfile.from_string("EEEB"), tie_break="stay"
         )
         assert trace.terminal is TraceTerminal.CONVERGED_TO_NASH
-        assert str(trace.steps[-1].profile) == "BBBB"
+        assert str(final_profile(trace)) == "BBBB"
 
     def test_every_move_strictly_improves(self):
         rng = random.Random(67)
@@ -211,8 +227,8 @@ class TestBestResponseDynamics:
             s = random_scenario(rng, with_interventions=True)
             initial = ActionProfile.from_mask(rng.randrange(1 << s.n), s.n)
             trace = best_response_dynamics(s, initial)
-            for step in trace.steps[1:]:
-                assert step.payoff_delta > 0.0
+            for _, delta in trace.moves:
+                assert delta > 0.0
 
     def test_converged_profile_is_nash(self):
         rng = random.Random(71)
@@ -221,7 +237,7 @@ class TestBestResponseDynamics:
             initial = ActionProfile.from_mask(rng.randrange(1 << s.n), s.n)
             trace = best_response_dynamics(s, initial)
             assert trace.terminal is TraceTerminal.CONVERGED_TO_NASH
-            assert is_nash(s, trace.steps[-1].profile).is_nash
+            assert is_nash(s, final_profile(trace)).is_nash
 
     def test_potential_strictly_increases(self):
         rng = random.Random(73)
@@ -229,7 +245,9 @@ class TestBestResponseDynamics:
             s = random_scenario(rng, with_interventions=True)
             initial = ActionProfile.from_mask(rng.randrange(1 << s.n), s.n)
             trace = best_response_dynamics(s, initial)
-            phis = [exact_potential(s, step.profile) for step in trace.steps]
+            phis = [
+                exact_potential(s, ActionProfile.from_mask(m, s.n)) for m in trace.masks()
+            ]
             assert all(b > a for a, b in zip(phis, phis[1:]))
             assert trace.iterations <= 1 << s.n
 
@@ -249,9 +267,7 @@ class TestBestResponseDynamics:
         initial = ActionProfile.from_string("EEBB")
         a = best_response_dynamics(v0, initial, schedule="random", seed=123)
         b = best_response_dynamics(v0, initial, schedule="random", seed=123)
-        assert [(str(s.profile), s.mover) for s in a.steps] == [
-            (str(s.profile), s.mover) for s in b.steps
-        ]
+        assert [st[:2] for st in trace_steps(a)] == [st[:2] for st in trace_steps(b)]
 
     def test_max_iters_reached(self, s0):
         trace = best_response_dynamics(s0, ActionProfile.all_expose(4), max_iters=2)
@@ -266,8 +282,8 @@ class TestBestResponseDynamics:
         move = best_response_dynamics(
             s, ActionProfile.all_buffer(3), tie_break="expose"
         )
-        assert str(move.steps[-1].profile) == "EEE"
-        assert all(step.payoff_delta == 0.0 for step in move.steps[1:])
+        assert str(final_profile(move)) == "EEE"
+        assert all(delta == 0.0 for _, delta in move.moves)
 
     def test_bad_arguments_rejected(self, s0):
         with pytest.raises(ScenarioError):
@@ -293,7 +309,7 @@ class TestBestResponseDynamics:
             trace = best_response_dynamics(
                 s, initial, schedule, max_iters, tie_break, seed, epsilon
             )
-            got = [(str(st.profile), st.mover, repr(st.payoff_delta)) for st in trace.steps]
+            got = trace_steps(trace)
             assert (got, trace.terminal) == reference_best_response(
                 s, initial, schedule, max_iters, tie_break, seed, epsilon
             )
@@ -307,7 +323,58 @@ class TestBestResponseDynamics:
         assert time.perf_counter() - start < 5.0
         assert trace.terminal is TraceTerminal.CONVERGED_TO_NASH
         assert trace.iterations == n
-        assert str(trace.steps[-1].profile) == "E" * n
+        assert str(final_profile(trace)) == "E" * n
+
+    def test_masks_replay_the_reference_profiles(self):
+        rng = random.Random(83)
+        for _ in range(60):
+            s = random_scenario(rng, max_n=10, symmetric=False, with_interventions=True)
+            initial = ActionProfile.from_mask(rng.randrange(1 << s.n), s.n)
+            schedule = rng.choice(("round_robin", "random"))
+            tie_break = rng.choice(("stay", "expose", "buffer"))
+            args = (s, initial, schedule, rng.randint(1, 40), tie_break, rng.randrange(1000), 0.0)
+            trace = best_response_dynamics(*args)
+            profiles = [str(ActionProfile.from_mask(m, s.n)) for m in trace.masks()]
+            assert profiles == [p for p, _, _ in reference_best_response(*args)[0]]
+
+    def test_4096_wards_keep_moves_not_profiles(self):
+        n = 4096
+        s = symmetric_scenario(n, 2.0, 1.0, LinearBenefit(0.3), [Mechanism(0.1)])
+        start = time.perf_counter()
+        trace = best_response_dynamics(s, ActionProfile.all_buffer(n))
+        assert time.perf_counter() - start < 2.0
+        assert trace.iterations == n
+        tracemalloc.start()
+        try:
+            best_response_dynamics(s, ActionProfile.all_buffer(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one profile per move, as N-tuples, would take over 100 MB here
+        assert peak < 16 * 2**20
+
+    def test_round_robin_detects_a_cycle(self, monkeypatch):
+        import wardgames.dynamics as dynamics
+
+        # matching pennies is no potential game: ward 0 wants to match ward
+        # 1, ward 1 to differ, so round robin returns to a visited state
+        class Pennies:
+            def gain_to_expose(self, ward, k_others):
+                return 1.0 if (k_others == 1) == (ward == 0) else -1.0
+
+        monkeypatch.setattr(dynamics, "payoff_tables", lambda scenario: Pennies())
+        s = symmetric_scenario(2, 2.0, 1.0, LinearBenefit(0.3))
+        trace = best_response_dynamics(s, ActionProfile.all_buffer(2))
+        assert trace.terminal is TraceTerminal.CYCLE_DETECTED
+        assert trace_steps(trace) == [
+            ("BB", None, "0.0"), ("BE", 1, "1.0"), ("EE", 0, "1.0"),
+            ("EB", 1, "1.0"), ("BB", 0, "1.0"), ("BE", 1, "1.0"),
+        ]
+        trace = best_response_dynamics(
+            s, ActionProfile.all_buffer(2), schedule="random", seed=1, max_iters=7
+        )
+        assert trace.terminal is TraceTerminal.MAX_ITERS_REACHED
+        assert trace.iterations == 7
 
 
 class TestExpectedPayoffs:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -153,11 +154,9 @@ class TestMechanism:
         short = Mechanism((1.0, 1.0))
         with pytest.raises(ScenarioError):
             Scenario(s0.wards, s0.benefit, (short,))
-        # a scenario that slipped past construction is still refused on use
-        s = Scenario(s0.wards, s0.benefit)
-        object.__setattr__(s, "interventions", (short,))
+        # replace() re-runs the check, so no path reaches the engine with it
         with pytest.raises(ScenarioError):
-            effective_payoff(s, ActionProfile.all_expose(4), 3)
+            dataclasses.replace(Scenario(s0.wards, s0.benefit), interventions=(short,))
 
     def test_never_changes_buffer_payoffs(self):
         rng = random.Random(9)

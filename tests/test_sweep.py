@@ -434,7 +434,7 @@ class TestCriticalThreshold:
         "cost_expose, lo, hi", [(3e9, 0.0, 1e10), (1.5e308, 1e308, 1.7e308)]
     )
     def test_bisection_stops_at_adjacent_floats(self, cost_expose, lo, hi):
-        # near the root the float spacing exceeds tol, so only the adjacency
+        # near the root the float spacing exceeds the stopping width, so only the adjacency
         # check ends the loop; in the second bracket lo + hi overflows
         s = symmetric_scenario(
             4, cost_expose, 1.0, LinearBenefit(0.3), [Observability(1.0, 0.0, 0.0)]
