@@ -11,9 +11,7 @@ Exit codes: 0 success, 1 runtime/numerical error, 2 config/schema error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -25,6 +23,8 @@ from typing import Any, Callable
 
 from .dynamics import (
     MAX_RK4_STEPS,
+    SCHEDULES,
+    TIE_BREAKS,
     DynamicsTrace,
     ReplicatorResult,
     best_response_dynamics,
@@ -58,6 +58,7 @@ from .model import (
 from .sweep import (
     MAX_GRID_POINTS,
     NASH_OBSERVABLES,
+    OBSERVABLES,
     SweepSpec,
     ThresholdResult,
     critical_threshold,
@@ -313,7 +314,7 @@ def _document(obj: Any, *omit: str) -> dict:
     one; tuples become lists and enums their values."""
     cls = type(obj)
     out: dict[str, Any] = {"kind": _KIND_NAMES[cls]} if cls in _KIND_NAMES else {}
-    for name, _ in _schema(cls, omit)[0]:
+    for name in (f.name for f in fields(obj) if f.name not in omit):
         v = getattr(obj, name)
         if isinstance(v, tuple):
             v = list(v)
@@ -368,20 +369,7 @@ def equilibrium_report_dict(report: EquilibriumReport) -> dict:
 
 def flip_report_dict(report: FlipReport) -> dict:
     return {
-        "wards": [
-            {
-                "ward": w.ward,
-                "baseline_margin": w.baseline_margin,
-                "baseline_buffer_best": w.baseline_buffer_best,
-                "effort_margin": w.effort_margin,
-                "effort_buffer_holds": w.effort_buffer_holds,
-                "observability_margin": w.observability_margin,
-                "observability_buffer_holds": w.observability_buffer_holds,
-                "mechanism_margin": w.mechanism_margin,
-                "mechanism_expose_holds": w.mechanism_expose_holds,
-            }
-            for w in report.wards
-        ],
+        "wards": [_document(w) for w in report.wards],
         "blocking_wards": sorted(report.blocking_wards),
     }
 
@@ -409,12 +397,7 @@ def threshold_result_dict(
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario_to_dict(scenario, options),
         "parameter_path": path,
-        "predicate": result.predicate,
-        "critical_value": result.critical_value,
-        "bracket": list(result.bracket),
-        "iterations": result.iterations,
-        "analytic_value": result.analytic_value,
-        "true_at_high": result.true_at_high,
+        **_document(result),
     }
 
 
@@ -486,15 +469,14 @@ def replicator_to_csv(result: ReplicatorResult) -> str:
 
 
 def sweep_rows_to_csv(rows: list[dict], observables: tuple[str, ...], n: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # no cell needs CSV quoting: float reprs, E/B strings, class names, gaps
     header = ["value"]
     for obs in observables:
         if obs == "flip_margins":
             header.extend(f"margin_ward_{i}" for i in range(n))
         else:
             header.append(obs)
-    writer.writerow(header)
+    lines = [",".join(header)]
     for row in rows:
         cells: list[str] = [repr(row["value"])]
         for obs in observables:
@@ -507,8 +489,8 @@ def sweep_rows_to_csv(rows: list[dict], observables: tuple[str, ...], n: int) ->
                 cells.append("" if gap is None else repr(gap))
             elif obs == "flip_margins":
                 cells.extend(repr(m) for m in row["flip_margins"])
-        writer.writerow(cells)
-    return buf.getvalue()
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -599,17 +581,19 @@ def _require_nash_size(scenario: Scenario) -> None:
              f"{MAX_NASH_WARDS} wards, got {scenario.n}: each analysis costs O(N^2)")
 
 
-def _run_epsilon(args: argparse.Namespace, options: RunOptions) -> float:
-    """--epsilon when given, else the scenario file's options.epsilon."""
-    if args.epsilon is None:
-        return options.epsilon
-    return _nonnegative(args.epsilon, "--epsilon")
+def _setting(args: argparse.Namespace, options: RunOptions, name: str,
+             check: Callable[[Any, str], Any]) -> tuple[Any, str]:
+    """(value, path) of a run setting: its flag if given, checked, else its option."""
+    if getattr(args, name) is None:
+        return getattr(options, name), f"options.{name}"
+    flag = "--" + name.replace("_", "-")
+    return check(getattr(args, name), flag), flag
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     scenario, options, warnings = _load_with_diagnostics(args.scenario)
     _require_nash_size(scenario)
-    epsilon = _run_epsilon(args, options)
+    epsilon = _setting(args, options, "epsilon", _nonnegative)[0]
     eq = enumerate_nash(scenario, epsilon=epsilon)
     flip = flip_conditions(scenario, epsilon=epsilon)
     sys.stdout.write(format_analysis_text(scenario, eq, flip))
@@ -631,12 +615,8 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
                 f"--initial must be a share in [0, 1] with --replicator, got "
                 f"{args.initial!r}"
             )
-        t_end, t_path = options.t_end, "options.t_end"
-        if args.t_end is not None:
-            t_end, t_path = _nonnegative(args.t_end, "--t-end"), "--t-end"
-        dt, dt_path = options.dt, "options.dt"
-        if args.dt is not None:
-            dt, dt_path = _positive(args.dt, "--dt"), "--dt"
+        t_end, t_path = _setting(args, options, "t_end", _nonnegative)
+        dt, dt_path = _setting(args, options, "dt", _positive)
         _require(
             t_end / dt <= MAX_RK4_STEPS,
             f"{t_path} / {dt_path}",
@@ -657,9 +637,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     profile = _build(ActionProfile.from_string, "--initial", text=args.initial)
     _require(len(profile) == scenario.n, "--initial",
              f"initial profile length {len(profile)} does not match {scenario.n} wards")
-    max_iters, iters_path = options.max_iters, "options.max_iters"
-    if args.max_iters is not None:
-        max_iters, iters_path = _at_least_one(args.max_iters, "--max-iters"), "--max-iters"
+    max_iters, iters_path = _setting(args, options, "max_iters", _at_least_one)
     _require(scenario.n * (max_iters + 1) <= MAX_TRACE_CELLS, iters_path,
              f"{scenario.n} wards x ({max_iters} + 1) trace rows exceed "
              f"{MAX_TRACE_CELLS} CSV cells")
@@ -671,7 +649,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         max_iters=max_iters,
         tie_break=args.tie_break,
         seed=seed,
-        epsilon=_run_epsilon(args, options),
+        epsilon=_setting(args, options, "epsilon", _nonnegative)[0],
     )
     _write_output(trace_to_csv(trace), args.out)
     print(
@@ -683,7 +661,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario, options, _ = _load_with_diagnostics(args.scenario)
-    epsilon = _run_epsilon(args, options)
+    epsilon = _setting(args, options, "epsilon", _nonnegative)[0]
     _require(args.lo < args.hi, "--lo/--hi", f"need lo < hi, got lo={args.lo}, hi={args.hi}")
     if args.critical:
         if not args.predicate:
@@ -718,16 +696,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# the field a canonical sweep varies, and its bracket [0, scale * max c(E)]
+# per archetype: the field swept, its bracket [0, scale * max c(E)], the threshold predicate
 _CANONICAL_SWEEPS = {
-    EffortReduction: ("delta_expose", 2.0),
-    Observability: ("penalty", 4.0),
-    Mechanism: ("capped_cost_expose", 1.0),
+    EffortReduction: ("delta_expose", 2.0, "all_buffer_not_nash"),
+    Observability: ("penalty", 4.0, "all_buffer_not_nash"),
+    Mechanism: ("capped_cost_expose", 1.0, "all_expose_nash"),
 }
 
 
-def _canonical_sweeps(scenario: Scenario) -> list[tuple[int, str, str, float, float]]:
-    """(index, kind, parameter path, lo, hi) for each sweepable intervention."""
+def _canonical_sweeps(scenario: Scenario) -> list[tuple[int, str, str, float, float, str]]:
+    """(index, kind, parameter path, lo, hi, predicate) per sweepable intervention."""
     max_ce = max(w.cost_expose for w in scenario.wards)
     out = []
     for i, iv in enumerate(scenario.interventions):
@@ -738,9 +716,9 @@ def _canonical_sweeps(scenario: Scenario) -> list[tuple[int, str, str, float, fl
                 file=sys.stderr,
             )
             continue
-        name, scale = _CANONICAL_SWEEPS[type(iv)]
+        name, scale, predicate = _CANONICAL_SWEEPS[type(iv)]
         path = f"interventions[{i}].{name}"
-        out.append((i, _KIND_NAMES[type(iv)], path, 0.0, scale * max_ce))
+        out.append((i, _KIND_NAMES[type(iv)], path, 0.0, scale * max_ce, predicate))
     return out
 
 
@@ -756,20 +734,18 @@ def cmd_report(args: argparse.Namespace) -> int:
         _dump_json(analyze_report_dict(scenario, options, warnings, eq, flip))
     )
     sys.stdout.write(format_analysis_text(scenario, eq, flip))
-    for idx, kind, path, lo, hi in _canonical_sweeps(scenario):
-        observables = ("nash_set", "classification", "welfare_gap", "flip_margins")
-        spec = SweepSpec(parameter_path=path, lo=lo, hi=hi, steps=21, observables=observables)
+    for idx, kind, path, lo, hi, predicate in _canonical_sweeps(scenario):
+        spec = SweepSpec(parameter_path=path, lo=lo, hi=hi, steps=21, observables=OBSERVABLES)
         rows = sweep_parameter(scenario, spec, epsilon=epsilon)
         stem = f"{idx}_{kind}"
         (bundle / f"sweep_{stem}.csv").write_text(
-            sweep_rows_to_csv(rows, observables, scenario.n)
+            sweep_rows_to_csv(rows, OBSERVABLES, scenario.n)
         )
         values = [row["value"] for row in rows]
         margins = [row["flip_margins"] for row in rows]
         (bundle / f"margin_{stem}.svg").write_text(
             margin_chart_svg(f"{kind}: margin vs {path}", values, margins)
         )
-        predicate = "all_expose_nash" if kind == "mechanism" else "all_buffer_not_nash"
         try:
             result = critical_threshold(
                 scenario, path, lo, hi, predicate, epsilon=epsilon
@@ -812,8 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--initial", required=True, help="profile string like EBBB, or x0 with --replicator"
     )
     p.add_argument("--replicator", action="store_true")
-    p.add_argument("--schedule", choices=("round_robin", "random"), default="round_robin")
-    p.add_argument("--tie-break", choices=("stay", "expose", "buffer"), default="stay")
+    p.add_argument("--schedule", choices=SCHEDULES, default="round_robin")
+    p.add_argument("--tie-break", choices=TIE_BREAKS, default="stay")
     p.add_argument("--seed", type=int, default=None, help="seed for the random schedule")
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--dt", type=float, default=None)
@@ -830,8 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=11)
     p.add_argument(
         "--observables",
-        default="nash_set,classification,welfare_gap,flip_margins",
-        help="comma-separated subset of nash_set,classification,welfare_gap,flip_margins",
+        default=",".join(OBSERVABLES),
+        help="comma-separated subset of " + ",".join(OBSERVABLES),
     )
     p.add_argument("--critical", action="store_true", help="bisect instead of sweeping")
     p.add_argument("--predicate", default=None, help="e.g. all_buffer_not_nash")

@@ -321,6 +321,7 @@ def _welfare_search(
 
     best: tuple[float, int] | None = None  # (welfare, mask)
     best_nash: tuple[float, int] | None = None
+    distinct = len(set(zip(ce, cb)))  # wards with equal costs have equal exact keys
     for k in range(n + 1):
         order = list(range(n))
         if 0 < k < n:
@@ -328,6 +329,10 @@ def _welfare_search(
             gain = [(b_k - e) - ((b_k - b) - p_k) for e, b in zip(ce, cb)]
             if charge is not None:
                 gain = [g - c for g, c in zip(gain, charge)]
+            elif distinct > 1 and len(set(gain)) < distinct:
+                # a float tie can hide unequal exact keys: rank by (key, exact residual)
+                gain = [(g, fsum((b_k - e, -((b_k - b) - p_k), -g)))
+                        for g, e, b in zip(gain, ce, cb)]
             order.sort(key=gain.__getitem__, reverse=True)  # ties stay in index order
         w = score(k, order[:k], order[k:])
         if best is None or w >= best[0]:

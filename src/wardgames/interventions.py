@@ -150,12 +150,12 @@ def _ward_costs(
     return ce - d_e, w.cost_buffer - d_b
 
 
-def buffering_penalty(scenario: Scenario, k_others: int, n: int) -> float:
+def buffering_penalty(scenario: Scenario, k_others: int) -> float:
     """Total expected consequence charged to a buffering ward."""
     pen = 0.0
     for iv in scenario.interventions:
         if isinstance(iv, Observability) and iv.penalty != 0.0:
-            pen += detection_probability(iv, k_others, n) * iv.penalty
+            pen += detection_probability(iv, k_others, scenario.n) * iv.penalty
     return pen
 
 
@@ -178,7 +178,7 @@ def _payoff(scenario: Scenario, rule: tuple[Mechanism | None, float, float],
     u = benefit_at_count(scenario.benefit, k, n) - (ce if expose else cb)
     if not expose:
         # a buffering ward is not an exposer, so k_others == k here
-        pen = buffering_penalty(scenario, k, n)
+        pen = buffering_penalty(scenario, k)
         if pen != 0.0:
             u -= pen
     return u
@@ -261,7 +261,7 @@ def payoff_tables(scenario: Scenario) -> PayoffTables:
     return PayoffTables(
         n=n,
         benefit=tuple(benefit_at_count(scenario.benefit, k, n) for k in range(n + 1)),
-        penalty=tuple(buffering_penalty(scenario, j, n) for j in range(n)),
+        penalty=tuple(buffering_penalty(scenario, j) for j in range(n)),
         cost_expose=tuple(ce for ce, _ in costs),
         cost_buffer=tuple(cb for _, cb in costs),
         charge=charge,

@@ -186,8 +186,8 @@ class ThresholdResult:
     is verifiably affine in the parameter (identical effective costs, epsilon 0).
     """
 
-    critical_value: float
     predicate: str
+    critical_value: float
     bracket: tuple[float, float]
     iterations: int
     analytic_value: float | None

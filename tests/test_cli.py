@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import random
 import re
@@ -18,10 +19,13 @@ from wardgames import (
     LinearBenefit,
     Mechanism,
     MechanismMode,
+    Observability,
     Scenario,
     ScenarioError,
+    SweepSpec,
     best_response_dynamics,
     integrate_replicator,
+    sweep_parameter,
     symmetric_scenario,
 )
 from wardgames import cli
@@ -34,6 +38,7 @@ from wardgames.cli import (
     parse_scenario_document,
     scenario_to_dict,
 )
+from wardgames.sweep import OBSERVABLES
 
 from conftest import random_scenario
 
@@ -79,13 +84,14 @@ class TestParser:
 
     def test_main_reuses_one_parser_and_no_flag_leaks(self, monkeypatch, capsys):
         epsilons = []
-        run_epsilon = cli._run_epsilon
+        setting = cli._setting
 
-        def spy(args, options):
-            epsilons.append(args.epsilon)
-            return run_epsilon(args, options)
+        def spy(args, options, name, check):
+            if name == "epsilon":
+                epsilons.append(args.epsilon)
+            return setting(args, options, name, check)
 
-        monkeypatch.setattr(cli, "_run_epsilon", spy)
+        monkeypatch.setattr(cli, "_setting", spy)
         scenario = str(SCENARIOS / "s0_baseline.json")
         build_parser.cache_clear()
         assert main(["analyze", scenario, "--epsilon", "0.5"]) == 0
@@ -530,6 +536,38 @@ class TestDynamics:
         assert cli.trace_to_csv(trace) == reference(
             ["step", "profile", "mover", "payoff_delta"], rows
         )
+        # penalty 1.4 makes all 16 profiles weak Nash; a pure Nash profile
+        # always exists, so a gap and an empty Nash set are built by hand
+        s = replace(s0, interventions=(Observability(p0=0.5, penalty=1.4),))
+        spec = SweepSpec("interventions[0].penalty", lo=0.0, hi=2.8, steps=5)
+        sweep_rows = sweep_parameter(s, spec) + [{
+            "value": 3.5, "nash_set": [], "classification": "Mixed/Other",
+            "welfare_gap": None, "flip_margins": [-0.5] * s.n,
+        }]
+
+        def cells(row, obs):
+            v = row[obs]
+            if obs == "flip_margins":
+                return [repr(m) for m in v]
+            if obs == "nash_set":
+                return [";".join(v)]
+            if obs == "classification":
+                return [v]
+            return ["" if v is None else repr(v)]
+
+        for size in range(len(OBSERVABLES) + 1):
+            for observables in itertools.combinations(OBSERVABLES, size):
+                header = ["value"]
+                for obs in observables:
+                    wide = obs == "flip_margins"
+                    header += [f"margin_ward_{i}" for i in range(s.n)] if wide else [obs]
+                rows = [
+                    [repr(row["value"])] + [c for obs in observables for c in cells(row, obs)]
+                    for row in sweep_rows
+                ]
+                assert cli.sweep_rows_to_csv(sweep_rows, observables, s.n) == reference(
+                    header, rows
+                )
 
     def test_bad_initial_profile_exits_2(self, capsys):
         assert main(
@@ -791,6 +829,13 @@ class TestSweep:
         doc = json.loads(out.read_text())
         assert doc["critical_value"] == pytest.approx(1.4, abs=1e-6)
         assert doc["analytic_value"] == pytest.approx(1.4, abs=1e-9)
+        # no golden covers this document, so its key order is pinned here
+        assert list(doc) == [
+            "schema_version", "scenario", "parameter_path", "predicate",
+            "critical_value", "bracket", "iterations", "analytic_value",
+            "true_at_high",
+        ]
+        assert isinstance(doc["true_at_high"], bool) and len(doc["bracket"]) == 2
 
     def test_unresolvable_path_exits_2(self, capsys):
         assert main(

@@ -306,6 +306,18 @@ class TestWelfare:
                 )
                 assert report.welfare_gap == report.welfare_optimum[1] - best
 
+    def test_optimum_ranks_float_key_ties_exactly(self):
+        # the ranking keys of wards 0 and 1 both round to -(2^72 + 2^21) but
+        # differ by 2^19, which ward 2's cancelling entries bring back
+        wards = (Ward(0, 2.0**73, 2.0**72 - 2.0**21 - 2.0**19),
+                 Ward(1, 2.0**73, 2.0**72 - 2.0**21),
+                 Ward(2, 2.0**80, 0.0))
+        s = Scenario(wards, TableBenefit((0.0, 2.0**72, 0.0, 0.0)))
+        scan = [welfare(s, ActionProfile.from_mask(m, 3)) for m in range(8)]
+        opt_profile, opt_w = enumerate_nash(s).welfare_optimum
+        assert (str(opt_profile), opt_w) == ("BEB", 2621440.0)
+        assert (opt_profile.mask, opt_w) == (scan.index(max(scan)), max(scan))
+
     def test_enumerate_calls_welfare_at_most_twice(self, monkeypatch):
         import wardgames.equilibrium as equilibrium
 
