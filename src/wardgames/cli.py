@@ -444,7 +444,47 @@ def format_analysis_text(
 
 
 def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """json.dumps(obj, indent=2, allow_nan=False) plus a newline, byte for
+    byte, for documents with string keys. json takes its pure-Python encoder
+    whenever there is an indent; here the C encoder writes each container of
+    scalars, with the line break and indent of its items as the separator."""
+    try:
+        return _indented(obj, "\n") + "\n"
+    except ValueError:  # a float out of range: the stdlib's own message
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(item_separator: str) -> Callable[[Any], str]:
+    return json.JSONEncoder(allow_nan=False, separators=(item_separator, ": ")).encode
+
+
+def _is_flat(obj: Any) -> bool:
+    """A scalar or an empty container: written alike at every depth."""
+    return not (obj and isinstance(obj, (dict, list, tuple)))
+
+
+def _indented(obj: Any, newline: str) -> str:
+    """obj as json.dumps(indent=2) writes it at the depth of `newline`."""
+    if _is_flat(obj):
+        return _flat_encoder("")(obj)
+    inner = newline + "  "
+    values = obj.values() if isinstance(obj, dict) else obj
+    if all(map(_is_flat, values)):
+        text = _flat_encoder("," + inner)(obj)
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    deeper = inner + "  "
+    if all(isinstance(v, dict) and v and all(map(_is_flat, v.values())) for v in obj):
+        # a list of flat records in one call: an encoded string holds no raw
+        # line break, so "}" + separator + "{" only ever joins two records
+        text = _flat_encoder("," + deeper)(obj)[2:-2].replace(
+            "}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        return "[" + inner + "{" + deeper + text + inner + "}" + newline + "]"
+    items = [_indented(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _write_output(text: str, out: str | None) -> None:

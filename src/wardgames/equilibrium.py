@@ -17,12 +17,10 @@ from typing import NamedTuple, Sequence
 
 from .errors import ResourceLimitError, ScenarioError
 from .interventions import (
-    EffortReduction,
-    Mechanism,
-    Observability,
     PayoffTables,
     _cost_rule,
     _payoff,
+    _ward_costs,
     payoff_tables,
 )
 from .model import Action, ActionProfile, Scenario, welfare
@@ -304,6 +302,11 @@ def _welfare_search(
     are scored with the floats welfare() sums, in math.fsum, so scores equal
     welfare() exactly. Ties prefer lower ward indices and then smaller k,
     matching the first maximiser a mask-ordered scan would find.
+
+    When the wards are interchangeable (the same cost and charge bits), every
+    ranking key ties at every k and the stable sort is the identity, so each
+    k skips the ranking: its candidate is the first k wards, scored from one
+    repeated entry per action.
     """
     n = tables.n
     benefit, penalty = tables.benefit, tables.penalty
@@ -321,6 +324,26 @@ def _welfare_search(
 
     best: tuple[float, int] | None = None  # (welfare, mask)
     best_nash: tuple[float, int] | None = None
+    # interchangeable wards: compare bits, not ==, as b - 0.0 and b - -0.0
+    # differ when b is -0.0
+    columns = (ce, cb) if charge is None else (ce, cb, charge)
+    if all(len(set(map(float.hex, c))) == 1 for c in columns):
+        e, b = ce[0], cb[0]
+        for k in range(n + 1):
+            b_k = benefit[k]
+            values = [b_k - e] * k
+            if k < n:
+                values += [(b_k - b) - penalty[k]] * (n - k)
+            w = fsum(values)
+            if charge is not None:
+                w -= fsum([charge[0]] * k)
+            if best is None or w > best[0]:  # a tie keeps the smaller k's smaller mask
+                best = (w, (1 << k) - 1)
+            if k in nash and (best_nash is None or w > best_nash[0]):
+                # every ward deviates alike, so `free` holds no ward or all of them
+                _, forced, _, seats, _, _ = nash[k]
+                best_nash = (w, forced | (1 << seats) - 1)
+        return best, best_nash
     distinct = len(set(zip(ce, cb)))  # wards with equal costs have equal exact keys
     for k in range(n + 1):
         order = list(range(n))
@@ -407,27 +430,28 @@ def _analyse(
     )
 
 
-def _only(scenario: Scenario, kind: type) -> Scenario:
-    return replace(
-        scenario,
-        interventions=tuple(iv for iv in scenario.interventions if isinstance(iv, kind)),
-    )
-
-
 def flip_conditions(scenario: Scenario, epsilon: float = 0.0) -> FlipReport:
     """Evaluate the archetype flip inequalities per ward.
 
     Margins are taken at the all-others-buffer profile under the baseline
     game plus that archetype's interventions alone, so each report line shows
-    what one archetype does to the incentive in isolation. blocking_wards
-    comes from the fully effective game at all-Expose.
+    what one archetype does to the incentive in isolation. The game is
+    compiled once, and each archetype swaps in its own costs and penalty.
+    blocking_wards comes from the fully effective game at all-Expose.
     """
     n = scenario.n
-    t_base = payoff_tables(replace(scenario, interventions=()))
-    t_effort = payoff_tables(_only(scenario, EffortReduction))
-    t_obs = payoff_tables(_only(scenario, Observability))
-    t_mech = payoff_tables(_only(scenario, Mechanism))
     t_full = payoff_tables(scenario)
+    mech, d_e, d_b = _cost_rule(scenario)
+    no_penalty = (0.0,) * n
+
+    def isolated(rule: tuple, penalty: tuple[float, ...]) -> PayoffTables:
+        ce, cb = zip(*(_ward_costs(scenario, i, rule) for i in range(n)))
+        return replace(t_full, penalty=penalty, cost_expose=ce, cost_buffer=cb)
+
+    t_base = isolated((None, 0.0, 0.0), no_penalty)
+    t_effort = isolated((None, d_e, d_b), no_penalty)
+    t_obs = replace(t_base, penalty=t_full.penalty)
+    t_mech = isolated((mech, 0.0, 0.0), no_penalty)
     wards = []
     for i in range(n):
         m_base = t_base.gain_to_expose(i, 0)

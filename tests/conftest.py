@@ -126,6 +126,25 @@ def repeated_costs_scenario(
     return Scenario(wards, TableBenefit(tuple(values)), tuple(ivs))
 
 
+def interchangeable_edge_scenarios() -> list[Scenario]:
+    """Wards that are, or only look, interchangeable: 0.0 and -0.0 costs
+    (mixed, then all -0.0) under a benefit table holding -0.0, one
+    redistribute charge shared by every ward, and equal effective costs under
+    a common cap whose charges differ, decreasing with the ward index."""
+    table = TableBenefit((-0.0, 0.25, -0.0, -0.0, -0.0))
+    obs = Observability(p0=0.5, p_slope=0.0, penalty=1.0)
+    redistribute = Mechanism(1.1, MechanismMode.REDISTRIBUTE)
+    signed = (Ward(0, 0.0, -0.0), Ward(1, -0.0, 0.0), Ward(2, 0.0, 0.0),
+              Ward(3, -0.0, -0.0))
+    capped = tuple(Ward(i, 3.5 - 0.5 * i, 0.5) for i in range(5))
+    return [
+        Scenario(signed, table, (obs,)),
+        Scenario(tuple(Ward(i, -0.0, -0.0) for i in range(4)), table, (obs,)),
+        symmetric_scenario(5, 2.0, 0.5, LinearBenefit(0.4), [obs, redistribute]),
+        Scenario(capped, LinearBenefit(0.4), (obs, redistribute)),
+    ]
+
+
 def scan_nash(scenario: Scenario, epsilon: float = 0.0) -> list[tuple[int, bool]]:
     """(mask, strict) of every Nash profile, in mask order, found by asking
     is_nash about each of the 2^N profiles. It evaluates payoffs directly, so

@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import random
 import re
 import time
@@ -970,3 +971,49 @@ class TestGoldens:
         )
         produced = (bundle / "margin_0_observability.svg").read_bytes()
         assert produced == (GOLDEN / "s0_observability.margin.svg").read_bytes()
+
+
+class TestDumpJson:
+    """cli._dump_json writes what json.dumps(indent=2) writes, byte for byte."""
+
+    # strings that look like the separators the writer joins records with
+    TRICKY = ("", "}, {", "},\n    {", "a\nb", "\"", "\\", "é", " ", "{}", "[]")
+
+    def random_value(self, rng: random.Random, depth: int):
+        kind = rng.randrange(10 if depth < 4 else 5)
+        if kind == 0:
+            return rng.choice((0.0, -0.0, 1e300, 5e-324, rng.uniform(-9, 9)))
+        if kind == 1:
+            return rng.choice((0, -7, 2**70, True, False, None))
+        if kind in (2, 3, 4):
+            return rng.choice(self.TRICKY)
+        if kind in (5, 6):  # a list of flat records, possibly with empty values
+            return [self.random_record(rng) for _ in range(rng.randrange(4))]
+        if kind == 7:
+            return tuple(self.random_value(rng, depth + 1) for _ in range(rng.randrange(4)))
+        return self.random_record(rng, depth + 1)
+
+    def random_record(self, rng: random.Random, depth: int = 4) -> dict:
+        keys = rng.sample(self.TRICKY + ("k", "profile", "strict"), rng.randrange(4))
+        return {k: self.random_value(rng, depth) for k in keys}
+
+    def test_matches_the_stdlib_on_random_documents(self):
+        rng = random.Random(89)
+        for _ in range(2000):
+            doc = self.random_record(rng, rng.randrange(4))
+            assert cli._dump_json(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    def test_matches_the_stdlib_on_a_report_bundle(self, tmp_path, capsys):
+        main(["report", str(SCENARIOS / "s0_observability.json"), "--bundle",
+              str(tmp_path)])
+        for path in tmp_path.glob("*.json"):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_out_of_range_float_raises_the_stdlib_error(self):
+        doc = {"a": [{"b": 1.0}, {"b": math.nan}]}
+        with pytest.raises(ValueError) as ours:
+            cli._dump_json(doc)
+        with pytest.raises(ValueError) as stdlib:
+            json.dumps(doc, indent=2, allow_nan=False)
+        assert str(ours.value) == str(stdlib.value)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +32,13 @@ from wardgames import (
     symmetric_scenario,
     welfare,
 )
-from conftest import nash_list, random_scenario, repeated_costs_scenario, scan_nash
+from conftest import (
+    interchangeable_edge_scenarios,
+    nash_list,
+    random_scenario,
+    repeated_costs_scenario,
+    scan_nash,
+)
 
 
 def nash_set(report):
@@ -285,6 +292,16 @@ class TestWelfare:
                         best_mask, best_w = mask, w
                 opt_profile, opt_w = enumerate_nash(m).welfare_optimum
                 assert (opt_profile.mask, opt_w) == (best_mask, best_w)
+        # signed zeros, a shared redistribute charge, and equal effective
+        # costs with unequal charges, with and without the observability
+        # penalty (each scenario's first intervention)
+        for s in interchangeable_edge_scenarios():
+            for m in (s, replace(s, interventions=s.interventions[1:])):
+                scan = [welfare(m, ActionProfile.from_mask(mask, m.n))
+                        for mask in range(1 << m.n)]
+                opt_profile, opt_w = enumerate_nash(m).welfare_optimum
+                assert (opt_profile.mask, repr(opt_w)) == (
+                    scan.index(max(scan)), repr(max(scan))), m
 
     def test_gap_matches_best_scanned_nash(self):
         rng = random.Random(79)
@@ -371,6 +388,44 @@ class TestFlipConditions:
         report2 = flip_conditions(broadcast)
         assert report2.blocking_wards == frozenset()
         assert is_nash(broadcast, ActionProfile.all_expose(4)).is_nash
+
+    def test_margins_equal_effective_payoff_differences(self):
+        # each margin is effective_payoff(E) - effective_payoff(B) of ward i
+        # against all-Buffer others, on the game with that archetype alone
+        rng = random.Random(67)
+        scenarios = [random_scenario(rng, with_interventions=True) for _ in range(60)]
+        scenarios += [
+            repeated_costs_scenario(rng, with_interventions=True) for _ in range(20)
+        ]
+        wards = tuple(Ward(i, 1.5 + 0.5 * i, 0.25 * i) for i in range(4))
+        benefit = LinearBenefit(0.3)
+        scenarios += [
+            # two mechanisms, the last (per-ward caps) governing
+            Scenario(wards, benefit, (Mechanism(1.2, MechanismMode.REDISTRIBUTE),
+                                      Mechanism((0.5, 1.0, 1.5, 2.0)))),
+            # two effort interventions around a sloped detection probability
+            Scenario(wards, benefit, (EffortReduction(0.3, 0.1),
+                                      Observability(0.2, 0.9, 1.5),
+                                      EffortReduction(0.25, 0.5))),
+            Scenario(wards, benefit, (Observability(0.7, -0.4, 1.0), Mechanism(0.9))),
+            Scenario((Ward(0, 2.0, 1.0), Ward(1, 1.25, 0.5)), benefit,
+                     (Observability(0.5, 0.5, 1.2), EffortReduction(0.1, 0.2),
+                      Mechanism((0.4, 1.1), MechanismMode.REDISTRIBUTE))),
+        ]
+        margins = (((), "baseline_margin"), (EffortReduction, "effort_margin"),
+                   (Observability, "observability_margin"),
+                   (Mechanism, "mechanism_margin"))
+        for s in scenarios:
+            report = flip_conditions(s)
+            for kind, name in margins:
+                alone = replace(s, interventions=tuple(
+                    iv for iv in s.interventions if isinstance(iv, kind)))
+                for i, flip in enumerate(report.wards):
+                    expose = effective_payoff(
+                        alone, ActionProfile.from_mask(1 << i, s.n), i)
+                    buffer = effective_payoff(alone, ActionProfile.all_buffer(s.n), i)
+                    assert repr(getattr(flip, name)) == repr(expose - buffer), (
+                        s, i, name)
 
     def test_blocking_iff_all_expose_not_nash(self):
         rng = random.Random(59)

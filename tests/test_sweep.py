@@ -34,7 +34,11 @@ from wardgames.equilibrium import _analyse
 from wardgames.interventions import payoff_tables
 from wardgames.sweep import MAX_GRID_POINTS, PREDICATES
 
-from conftest import random_scenario, repeated_costs_scenario
+from conftest import (
+    interchangeable_edge_scenarios,
+    random_scenario,
+    repeated_costs_scenario,
+)
 
 
 def obs_scenario(penalty=1.4, p0=0.5):
@@ -191,7 +195,7 @@ class TestSweep:
 
 def swept_path(s: Scenario) -> tuple[str, float, float]:
     """A parameter path of the scenario with a bracket to sweep it over."""
-    max_ce = max(w.cost_expose for w in s.wards)
+    max_ce = max(w.cost_expose for w in s.wards) or 1.0  # zero costs: still a bracket
     for i, iv in enumerate(s.interventions):
         if isinstance(iv, Observability):
             return f"interventions[{i}].penalty", 0.0, 4.0 * max_ce
@@ -219,6 +223,9 @@ class TestSweepWelfareFromTheSearch:
                 mech = Mechanism(cap, MechanismMode.REDISTRIBUTE)
                 s = Scenario(s.wards, s.benefit, s.interventions + (mech,))
             yield s, rng.choice((0.0, 0.25))
+        for s in interchangeable_edge_scenarios():
+            yield s, 0.0
+            yield s, 0.25
 
     def test_rows_equal_enumerate_nash_bit_for_bit(self, monkeypatch):
         import wardgames.equilibrium as equilibrium
