@@ -78,8 +78,8 @@ EXIT_CONFIG = 2
 MAX_WARDS = 10**5
 
 # Larger scenarios are refused by analyze, report and Nash-observable sweeps
-# before any analysis: one Nash analysis is about O(N^2), 8.8 s symmetric and
-# 13.5 s asymmetric at 4096 wards, and report and sweep run one per grid point.
+# before any analysis: one Nash analysis is about O(N^2), 0.4 s symmetric and
+# 14 s asymmetric at 4096 wards, and report and sweep run one per grid point.
 MAX_NASH_WARDS = 4096
 
 # Larger n_wards x (max_iters + 1) is refused by best-response dynamics before

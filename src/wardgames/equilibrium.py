@@ -15,18 +15,22 @@ from itertools import combinations
 from math import comb, fsum
 from typing import NamedTuple, Sequence
 
-from .errors import ResourceLimitError, ScenarioError
+from .errors import NumericalError, ResourceLimitError, ScenarioError
 from .interventions import (
     PayoffTables,
     _cost_rule,
     _payoff,
     _ward_costs,
+    buffering_penalty,
     payoff_tables,
 )
-from .model import Action, ActionProfile, Scenario, welfare
+from .model import Action, ActionProfile, Scenario, benefit_at_count, welfare
 
 # Materialising a Nash set of more than this many profiles is refused.
 _MAX_NASH_PROFILES = 1 << 22
+
+# Below this welfare bound every welfare sum and the gap between two are finite.
+_MAX_WELFARE = 2.0 ** 1022
 
 
 class Classification(Enum):
@@ -167,15 +171,23 @@ def is_nash(
             f"profile length {len(profile)} does not match {scenario.n} wards"
         )
     rule = _cost_rule(scenario)
-    k = profile.exposer_count
+    n, k = scenario.n, profile.exposer_count
+    # ward i switching alone moves the exposer count by one, so the payoffs
+    # here take the benefit and the penalty at k - 1, k and k + 1 only
+    benefit = {j: benefit_at_count(scenario.benefit, j, n)
+               for j in range(max(k - 1, 0), min(k + 1, n) + 1)}
+    penalty = {j: buffering_penalty(scenario, j) for j in benefit if j < n}
     violators = set()
     strict = True
     for i, action in enumerate(profile.actions):
         expose = action is Action.EXPOSE
-        u_cur = _payoff(scenario, rule, i, expose, k)
-        # ward i switching alone moves the exposer count by one
-        u_dev = _payoff(scenario, rule, i, not expose, k - 1 if expose else k + 1)
-        gain = u_dev - u_cur
+        k_e, k_b = (k, k - 1) if expose else (k + 1, k)  # exposing, buffering
+        ce, cb = _ward_costs(scenario, i, rule)
+        u_e = benefit[k_e] - ce  # _payoff's float expressions
+        u_b = benefit[k_b] - cb
+        if penalty[k_b] != 0.0:
+            u_b -= penalty[k_b]
+        gain = u_b - u_e if expose else u_e - u_b
         if gain > epsilon:
             violators.add(i)
         if gain >= -epsilon:
@@ -184,68 +196,56 @@ def is_nash(
     return NashCheck(ok, frozenset(violators), strict if ok else False)
 
 
-def _deviation_masks(
+def _nash_plan(
     tables: PayoffTables, epsilon: float
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Per exposer-count bitmasks of wards that would deviate.
+) -> tuple[tuple[NashBlock, ...], tuple[Action | None, ...]]:
+    """The Nash profiles, described per exposer count without building them,
+    and each ward's strictly dominant action (None without one).
 
-    bad_e[k] / bad_b[k]: wards strictly gaining by leaving Expose / Buffer in
-    a k-exposer profile. weak_e[k] / weak_b[k]: wards whose deviation does not
-    strictly lose (breaks strictness).
+    A ward's deviation gain depends only on the ward and the exposer count k,
+    so the Nash profiles with k exposers are exactly the k-sets that contain
+    every ward gaining by joining the k exposers (`forced`) and no ward
+    gaining by leaving them: the remaining `seats` go to the `free` wards (a
+    mask) in every possible way. Leaving k + 1 exposers gains the negated
+    gain of joining k, so one pass over k finds both sides, and the wards
+    gaining on one side at every count are the ones with a dominant action.
     """
     n = tables.n
     benefit, penalty = tables.benefit, tables.penalty
-    bad_e = [0] * (n + 1)
-    bad_b = [0] * (n + 1)
-    weak_e = [0] * (n + 1)
-    weak_b = [0] * (n + 1)
     # wards with equal effective costs share every check
     groups: dict[tuple[float, float], int] = {}
     for i, costs in enumerate(zip(tables.cost_expose, tables.cost_buffer)):
         groups[costs] = groups.get(costs, 0) | 1 << i
     shared = list(groups.items())
-    for j in range(n):
-        b_up, b_j, p_j = benefit[j + 1], benefit[j], penalty[j]
-        for (ce, cb), bits in shared:
-            expose = b_up - ce
-            buffer = (b_j - cb) - p_j
-            # k = j + 1 exposers, one of them leaving
-            gain = buffer - expose
-            if gain > epsilon:
-                bad_e[j + 1] |= bits
-            if gain >= -epsilon:
-                weak_e[j + 1] |= bits
-            # k = j exposers, a buffering ward joining them
-            gain = expose - buffer
-            if gain > epsilon:
-                bad_b[j] |= bits
-            if gain >= -epsilon:
-                weak_b[j] |= bits
-    return bad_e, bad_b, weak_e, weak_b
-
-
-def _nash_plan(
-    n: int, bad_e: list[int], bad_b: list[int], weak_e: list[int], weak_b: list[int]
-) -> tuple[NashBlock, ...]:
-    """The Nash profiles, described per exposer count without building them.
-
-    A ward's deviation gain depends only on the ward and the exposer count k,
-    so the Nash profiles with k exposers are exactly the k-sets that contain
-    every ward in bad_b[k] (`forced`) and no ward in bad_e[k]: the remaining
-    `seats` go to the `free` wards (a mask) in every possible way. Returns
-    one block per count that has Nash profiles.
-    """
     everyone = (1 << n) - 1
+    expose_wins = buffer_wins = everyone
+    leave = weak_leave = 0  # wards (weakly) gaining by leaving the k exposers
     plan = []
     for k in range(n + 1):
-        forced = bad_b[k]
-        if forced & bad_e[k]:
-            continue
-        seats = k - forced.bit_count()
-        free = everyone & ~(forced | bad_e[k])
-        if 0 <= seats <= free.bit_count():
-            plan.append(NashBlock(k, forced, free, seats, weak_e[k], weak_b[k]))
-    return tuple(plan)
+        # wards (weakly) gaining by joining the k exposers, and by leaving k + 1
+        join = weak_join = up_leave = up_weak_leave = 0
+        if k < n:
+            b_up, b_k, p_k = benefit[k + 1], benefit[k], penalty[k]
+            for (ce, cb), bits in shared:
+                gain = (b_up - ce) - ((b_k - cb) - p_k)
+                if gain > epsilon:
+                    join |= bits
+                if gain >= -epsilon:
+                    weak_join |= bits
+                if gain < -epsilon:
+                    up_leave |= bits
+                if gain <= epsilon:
+                    up_weak_leave |= bits
+            expose_wins &= join
+            buffer_wins &= up_leave
+        seats = k - join.bit_count()
+        free = everyone & ~(join | leave)
+        if not join & leave and 0 <= seats <= free.bit_count():
+            plan.append(NashBlock(k, join, free, seats, weak_leave, weak_join))
+        leave, weak_leave = up_leave, up_weak_leave
+    dominant = tuple(Action.EXPOSE if expose_wins >> i & 1 else
+                     Action.BUFFER if buffer_wins >> i & 1 else None for i in range(n))
+    return tuple(plan), dominant
 
 
 def _nash_profiles(
@@ -272,23 +272,6 @@ def _nash_profiles(
     return tuple(found)
 
 
-def _dominant_strategies(
-    n: int, bad_e: list[int], bad_b: list[int]
-) -> tuple[Action | None, ...]:
-    """A ward's strictly dominant action: Expose when joining the exposers
-    pays at every count, Buffer when leaving them pays at every count."""
-    expose_wins = buffer_wins = (1 << n) - 1
-    for k in range(n):
-        expose_wins &= bad_b[k]
-        buffer_wins &= bad_e[k + 1]
-    return tuple(
-        Action.EXPOSE if expose_wins >> i & 1
-        else Action.BUFFER if buffer_wins >> i & 1
-        else None
-        for i in range(n)
-    )
-
-
 def _welfare_search(
     tables: PayoffTables, plan: Sequence[NashBlock]
 ) -> tuple[tuple[float, int], tuple[float, int] | None]:
@@ -301,7 +284,8 @@ def _welfare_search(
     plus the `seats` free wards with the largest contributions. Candidates
     are scored with the floats welfare() sums, in math.fsum, so scores equal
     welfare() exactly. Ties prefer lower ward indices and then smaller k,
-    matching the first maximiser a mask-ordered scan would find.
+    matching the first maximiser a mask-ordered scan would find. A game whose
+    welfare sums could leave the float range raises NumericalError.
 
     When the wards are interchangeable (the same cost and charge bits), every
     ranking key ties at every k and the stable sort is the identity, so each
@@ -322,11 +306,18 @@ def _welfare_search(
             return total
         return total - fsum([charge[i] for i in exposers])
 
+    columns = (ce, cb) if charge is None else (ce, cb, charge)
+    # sum, not fsum: a bound past the float range reads inf instead of raising
+    bound = n * sum(max(map(abs, v)) for v in (benefit, penalty, *columns))
+    if not bound < _MAX_WELFARE:
+        raise NumericalError(
+            f"welfare overflow: {n} x (max|B| + max|penalty| + max|c_E| + max|c_B| + "
+            f"max|charge|) = {bound:.4g} is not below 2^1022, so welfare sums may leave "
+            "the float range; scale benefits, costs and penalties down")
     best: tuple[float, int] | None = None  # (welfare, mask)
     best_nash: tuple[float, int] | None = None
     # interchangeable wards: compare bits, not ==, as b - 0.0 and b - -0.0
     # differ when b is -0.0
-    columns = (ce, cb) if charge is None else (ce, cb, charge)
     if all(len(set(map(float.hex, c))) == 1 for c in columns):
         e, b = ce[0], cb[0]
         for k in range(n + 1):
@@ -399,9 +390,7 @@ def _analyse(
     `oracle` is set, both welfare figures are the welfare search's scores,
     which equal welfare() bit for bit, and welfare() is not called."""
     n = scenario.n
-    bad_e, bad_b, weak_e, weak_b = _deviation_masks(tables, epsilon)
-    plan = _nash_plan(n, bad_e, bad_b, weak_e, weak_b)
-    dominant = _dominant_strategies(n, bad_e, bad_b)
+    plan, dominant = _nash_plan(tables, epsilon)
     (opt_welfare, opt_mask), best_nash = _welfare_search(tables, plan)
     opt_profile = ActionProfile.from_mask(opt_mask, n)
     gap = None if best_nash is None else opt_welfare - best_nash[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
-from .errors import ScenarioError
+from .errors import NumericalError, ScenarioError
 from .model import (
     Action,
     ActionProfile,
@@ -212,7 +212,8 @@ class PayoffTables:
     Each entry is computed on demand with the float expression of
     effective_payoff, so it is bit-identical to it. charge[i] is what the
     system bears when ward i exposes under a redistributing mechanism; it is
-    None without one.
+    None without one. A game with a payoff or gain past the float range
+    raises NumericalError when it is built.
     """
 
     n: int
@@ -221,6 +222,18 @@ class PayoffTables:
     cost_expose: tuple[float, ...]
     cost_buffer: tuple[float, ...]
     charge: tuple[float, ...] | None
+
+    def __post_init__(self) -> None:
+        # Rounding is monotone, so every payoff entry and deviation gain lies
+        # between these two gains of the extreme terms.
+        b_lo, b_hi = min(self.benefit), max(self.benefit)
+        ce, cb, pen = self.cost_expose, self.cost_buffer, self.penalty
+        top = (b_hi - min(ce)) - ((b_lo - max(cb)) - max(pen))
+        bottom = (b_lo - max(ce)) - ((b_hi - min(cb)) - min(pen))
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            raise NumericalError(
+                "payoff overflow: a payoff or deviation gain of this game leaves "
+                "the float range; scale benefits, costs and penalties down")
 
     def expose(self, ward: int, k_others: int) -> float:
         return self.benefit[k_others + 1] - self.cost_expose[ward]

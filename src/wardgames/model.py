@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import ScenarioError
@@ -32,6 +33,12 @@ class Action(Enum):
         return Action.BUFFER if self is Action.EXPOSE else Action.EXPOSE
 
 
+_BITS_TO_ACTIONS = str.maketrans("10", "EB")
+_ACTIONS_TO_BITS = str.maketrans("EB", "10")
+_ACTIONS = {a.value: a for a in Action}
+_LETTER = attrgetter("_value_")  # Action.value without its descriptor call
+
+
 @dataclass(frozen=True)
 class ActionProfile:
     """An assignment of an action to each ward, ward 0 leftmost."""
@@ -51,7 +58,7 @@ class ActionProfile:
         return len(self.actions)
 
     def __str__(self) -> str:
-        return "".join(a.value for a in self.actions)
+        return "".join(map(_LETTER, self.actions))
 
     @cached_property
     def exposer_count(self) -> int:
@@ -60,11 +67,7 @@ class ActionProfile:
     @property
     def mask(self) -> int:
         """Bitmask form; bit i is set iff ward i exposes."""
-        m = 0
-        for i, a in enumerate(self.actions):
-            if a is Action.EXPOSE:
-                m |= 1 << i
-        return m
+        return int(str(self).translate(_ACTIONS_TO_BITS)[::-1], 2)
 
     @classmethod
     def from_string(cls, text: str) -> "ActionProfile":
@@ -79,9 +82,7 @@ class ActionProfile:
     def from_mask(cls, mask: int, n: int) -> "ActionProfile":
         if n < 1 or mask < 0 or mask >= (1 << n):
             raise ScenarioError(f"mask {mask} out of range for {n} wards")
-        return cls(
-            tuple(Action.EXPOSE if mask >> i & 1 else Action.BUFFER for i in range(n))
-        )
+        return cls(tuple(map(_ACTIONS.__getitem__, profile_string(mask, n))))
 
     @classmethod
     def all_expose(cls, n: int) -> "ActionProfile":
@@ -95,9 +96,6 @@ class ActionProfile:
         acts = list(self.actions)
         acts[ward] = action
         return ActionProfile(tuple(acts))
-
-
-_BITS_TO_ACTIONS = str.maketrans("10", "EB")
 
 
 def profile_string(mask: int, n: int) -> str:

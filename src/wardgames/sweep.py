@@ -182,8 +182,9 @@ class ThresholdResult:
     """Bisection output for a named predicate along one parameter.
 
     true_at_high records the orientation: the predicate held at the high end
-    of the original bracket. analytic_value is attached when the flip margin
-    is verifiably affine in the parameter (identical effective costs, epsilon 0).
+    of the original bracket. analytic_value is the secant root of the flip
+    margin through the original bracket's ends, attached when it lies in the
+    final bracket (identical effective costs, epsilon 0).
     """
 
     predicate: str
@@ -214,9 +215,10 @@ def normalize_predicate(name: str) -> str:
 
 
 def _analytic_threshold(
-    scenario: Scenario, path: str, predicate: str, lo: float, hi: float
+    scenario: Scenario, path: str, predicate: str, lo: float, hi: float,
+    bracket: tuple[float, float],
 ) -> float | None:
-    """Root of the relevant flip margin when it is affine in the parameter.
+    """Secant root of the relevant flip margin, certified by the bisection.
 
     The margin is the per-ward expose-minus-buffer gain at the pole profile
     the predicate tests: against all-buffer others for the all-buffer
@@ -224,8 +226,9 @@ def _analytic_threshold(
     F* = (c(E) - c(B) - B(1) + B(0)) / p for an observability penalty and
     delta_E* = c(E) - c(B) - B(1) + B(0) + delta_B for an effort delta), and
     against all-expose others for the all-expose predicates (cap* =
-    c(B) + B(N) - B(N-1) for a mechanism cap). Verified by evaluation; None
-    when the margin is not affine or the root lies outside the bracket.
+    c(B) + B(N) - B(N-1) for a mechanism cap). The root of the secant through
+    lo and hi is returned only when it lies in the bisection's final
+    `bracket`, where the predicate flips; None otherwise.
     """
     if not is_symmetric(scenario):
         return None
@@ -239,14 +242,7 @@ def _analytic_threshold(
     if m_lo == m_hi:
         return None
     root = lo - m_lo * (hi - lo) / (m_hi - m_lo)
-    if not lo <= root <= hi:
-        return None
-    scale = max(1.0, abs(m_lo), abs(m_hi))
-    mid = 0.5 * (lo + hi)
-    linear = abs(margin(mid) - 0.5 * (m_lo + m_hi)) <= 1e-9 * scale
-    if not linear or abs(margin(root)) > 1e-9 * scale:
-        return None
-    return root
+    return root if bracket[0] <= root <= bracket[1] else None
 
 
 def critical_threshold(
@@ -290,7 +286,7 @@ def critical_threshold(
             b = mid
     analytic = None
     if epsilon == 0.0:
-        analytic = _analytic_threshold(scenario, parameter_path, key, lo, hi)
+        analytic = _analytic_threshold(scenario, parameter_path, key, lo, hi, (a, b))
     return ThresholdResult(
         critical_value=0.5 * a + 0.5 * b,
         predicate=key,

@@ -380,6 +380,27 @@ class TestAnalyze:
         )
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("costs, values, cause", [
+        # every payoff is -inf: once listed as four strict Nash profiles
+        ((1.7e308, 1.7e308), [-1.7e308] * 3, "payoff overflow: a payoff or deviation gain"),
+        # finite payoffs whose welfare sum overflows: once "intermediate overflow in fsum"
+        ((2.0, 1.0), [1e308] * 5, "welfare overflow: 4 x (max|B| + max|penalty|"),
+    ])
+    def test_float_overflow_exits_1_naming_the_cause(self, costs, values, cause,
+                                                     tmp_path, capsys):
+        doc = {
+            "n_wards": len(values) - 1,
+            "wards": {"symmetric": dict(zip(("cost_expose", "cost_buffer"), costs))},
+            "benefit": {"kind": "table", "values": values},
+        }
+        out_path = tmp_path / "report.json"
+        argv = ["analyze", str(write_scenario(tmp_path, doc)), "--out", str(out_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"error: {cause}")
+        assert not out_path.exists()
+
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -176,6 +177,28 @@ class TestEnumerate:
         assert masks == set(range(16))
         assert all(not strict for _, strict in nash_set(report))
         assert report.classification is Classification.BISTABLE
+
+    def test_dominant_strategy_matches_best_responses(self):
+        # a ward's action is strictly dominant iff best_response returns that
+        # action alone against every profile of the other wards
+        rng = random.Random(53)
+        scenarios = interchangeable_edge_scenarios()
+        for trial in range(80):
+            if trial % 2:
+                scenarios.append(repeated_costs_scenario(rng, max_n=7, with_interventions=True))
+            else:
+                scenarios.append(random_scenario(rng, max_n=7, with_interventions=True))
+        dominated = set()
+        for s in scenarios:
+            for eps in (0.0, 0.25):
+                expected = []
+                for i in range(s.n):
+                    seen = set().union(*(best_response(s, others, i, eps)
+                                         for others in product(Action, repeat=s.n - 1)))
+                    expected.append(seen.pop() if len(seen) == 1 else None)
+                assert enumerate_nash(s, eps).dominant_strategy == tuple(expected), (s, eps)
+                dominated |= set(expected)
+        assert dominated == {Action.EXPOSE, Action.BUFFER, None}
 
     def test_matches_is_nash_exhaustively(self):
         rng = random.Random(41)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import tracemalloc
 
@@ -15,14 +16,18 @@ from wardgames import (
     LinearBenefit,
     Mechanism,
     MechanismMode,
+    NumericalError,
     Observability,
     Scenario,
     ScenarioError,
+    TableBenefit,
     ThresholdBenefit,
     Ward,
     critical_threshold,
     detection_probability,
     effective_payoff,
+    enumerate_nash,
+    flip_conditions,
     integrate_replicator,
     is_symmetric,
     payoff_tables,
@@ -316,3 +321,66 @@ class TestSymmetryDetection:
         found = critical_threshold(s, path, 0.5, 6.0, "all_expose_nash")
         assert found.analytic_value == 4.0
         assert found == critical_threshold(same, path, 0.5, 6.0, "all_expose_nash")
+
+
+def entries_and_gains(scenario):
+    """Every expose and buffer payoff and deviation gain, by effective_payoff."""
+    n = scenario.n
+    for i in range(n):
+        others = [w for w in range(n) if w != i]
+        for j in range(n):
+            mask = sum(1 << w for w in others[:j])
+            e = effective_payoff(scenario, ActionProfile.from_mask(mask | 1 << i, n), i)
+            b = effective_payoff(scenario, ActionProfile.from_mask(mask, n), i)
+            yield from (e, b, e - b)
+
+
+class TestFloatRange:
+    def test_overflowing_payoffs_raise_numerical_error(self):
+        s = symmetric_scenario(2, 1.7e308, 1.7e308, TableBenefit((-1.7e308,) * 3))
+        with pytest.raises(NumericalError, match="^payoff overflow: "):
+            payoff_tables(s)
+
+    def test_overflowing_welfare_raises_numerical_error(self):
+        s = symmetric_scenario(4, 2.0, 1.0, TableBenefit((1e308,) * 5))
+        assert all(map(math.isfinite, entries_and_gains(s)))
+        payoff_tables(s)  # the game itself is in range
+        with pytest.raises(NumericalError, match="^welfare overflow: 4 x "):
+            enumerate_nash(s)
+
+    def test_every_overflow_is_refused_and_every_result_is_finite(self):
+        # huge terms of both signs: an analysis either raises NumericalError
+        # or reports only finite numbers, and a non-finite payoff or gain is
+        # always refused when the game is compiled
+        rng = random.Random(23)
+        refused = overflowed = analysed = 0
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            scales = rng.sample((1.0, 1e305, 4e307, 1.7e308), 2)
+
+            def big():
+                return rng.choice(scales) * rng.random()
+
+            wards = tuple(Ward(i, big(), big()) for i in range(n))
+            table = TableBenefit(tuple(rng.choice((-1.0, 1.0)) * big() for _ in range(n + 1)))
+            ivs = [Observability(rng.random(), 0.0, big())] if rng.random() < 0.5 else []
+            if rng.random() < 0.5:
+                ivs.append(Mechanism(big(), rng.choice(list(MechanismMode))))
+            s = Scenario(wards, table, tuple(ivs))
+            finite = all(map(math.isfinite, entries_and_gains(s)))
+            overflowed += not finite
+            try:
+                report = enumerate_nash(s)
+                flip = flip_conditions(s)
+            except NumericalError:
+                refused += 1
+                continue
+            assert finite
+            analysed += 1
+            assert math.isfinite(report.welfare_optimum[1])
+            assert report.welfare_gap is None or math.isfinite(report.welfare_gap)
+            for w in flip.wards:
+                margins = (w.baseline_margin, w.effort_margin,
+                           w.observability_margin, w.mechanism_margin)
+                assert all(map(math.isfinite, margins))
+        assert overflowed and analysed and refused > overflowed
