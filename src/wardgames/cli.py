@@ -66,7 +66,7 @@ from .sweep import (
     sweep_parameter,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -749,12 +749,11 @@ def _canonical_sweeps(scenario: Scenario) -> list[tuple[int, str, str, float, fl
     max_ce = max(w.cost_expose for w in scenario.wards)
     out = []
     for i, iv in enumerate(scenario.interventions):
-        if isinstance(iv, Mechanism) and isinstance(iv.capped_cost_expose, tuple):
-            print(
-                f"note: skipping canonical sweep for interventions[{i}] "
-                "(per-ward caps)",
-                file=sys.stderr,
-            )
+        per_ward = isinstance(iv, Mechanism) and isinstance(iv.capped_cost_expose, tuple)
+        if per_ward or max_ce == 0:
+            why = "per-ward caps" if per_ward else "every cost_expose is 0: bracket [0, 0]"
+            print(f"note: skipping canonical sweep for interventions[{i}] ({why})",
+                  file=sys.stderr)
             continue
         name, scale, predicate = _CANONICAL_SWEEPS[type(iv)]
         path = f"interventions[{i}].{name}"
@@ -849,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(OBSERVABLES),
         help="comma-separated subset of " + ",".join(OBSERVABLES),
     )
-    p.add_argument("--critical", action="store_true", help="bisect instead of sweeping")
+    p.add_argument("--critical", action="store_true", help="find the threshold instead")
     p.add_argument("--predicate", default=None, help="e.g. all_buffer_not_nash")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--out")

@@ -196,11 +196,6 @@ def system_borne_cost(scenario: Scenario, profile: ActionProfile) -> float:
     )
 
 
-def is_symmetric(scenario: Scenario) -> bool:
-    """True when every ward faces identical effective incentives."""
-    return payoff_tables(scenario).symmetric
-
-
 @dataclass(frozen=True)
 class PayoffTables:
     """The compiled game: every effective payoff from O(N) numbers.

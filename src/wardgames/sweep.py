@@ -2,20 +2,22 @@
 
 A dotted path like "interventions[0].penalty" addresses one numeric field of
 a scenario; sweeps re-evaluate the equilibrium analysis across a grid of
-values and the threshold solver bisects for the exact intervention strength
-at which a named equilibrium predicate flips.
+values, and the threshold search finds the two adjacent values of the field
+between which a named equilibrium predicate flips.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import struct
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Callable
 
 from .errors import BracketError, ScenarioError
 from .equilibrium import _analyse
 from .equilibrium import is_nash  # noqa: F401  perfbench's tracer test looks it up here
-from .interventions import is_symmetric, payoff_tables
+from .interventions import PayoffTables, payoff_tables
 from .model import Scenario, profile_string
 
 OBSERVABLES = ("nash_set", "classification", "welfare_gap", "flip_margins")
@@ -24,14 +26,6 @@ NASH_OBSERVABLES = frozenset({"nash_set", "classification", "welfare_gap"})
 
 # Every grid point runs a full analysis, so larger grids are refused.
 MAX_GRID_POINTS = 10**5
-
-# Halving any finite float bracket reaches adjacent floats in under 2100
-# steps, so this cap is a backstop that no valid bracket hits.
-_MAX_BISECT_ITERS = 2200
-
-# Bisection stops at this bracket width, about 30 halvings of a unit bracket;
-# each halving re-evaluates the predicate on a rebuilt scenario.
-_BISECT_WIDTH = 1e-9
 
 _PATH_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
 
@@ -77,8 +71,11 @@ class SweepSpec:
         if self.values is not None:
             return sorted(self.values)
         assert self.lo is not None and self.hi is not None and self.steps is not None
-        span = self.hi - self.lo
-        return [self.lo + span * i / (self.steps - 1) for i in range(self.steps)]
+        lo, hi, last = self.lo, self.hi, self.steps - 1
+        if math.isfinite(hi - lo):
+            return [lo + (hi - lo) * i / last for i in range(self.steps)]
+        # hi - lo overflows only when lo < 0 < hi; these terms and their sum cannot
+        return [lo * (1 - i / last) + hi * (i / last) for i in range(self.steps)]
 
 
 def _tokens(path: str) -> list[tuple[str, int | None]]:
@@ -179,28 +176,28 @@ def sweep_parameter(
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Bisection output for a named predicate along one parameter.
+    """Where a named predicate flips along one parameter.
 
-    true_at_high records the orientation: the predicate held at the high end
-    of the original bracket. analytic_value is the secant root of the flip
-    margin through the original bracket's ends, attached when it lies in the
-    final bracket (identical effective costs, epsilon 0).
+    bracket holds two adjacent values of the parameter (adjacent floats, or
+    consecutive integers for an integer field) at which the predicate
+    differs, which certifies it; critical_value is its upper end. iterations
+    counts the evaluations strictly between the original ends, and
+    true_at_high says whether the predicate held at the original high end.
     """
 
     predicate: str
     critical_value: float
     bracket: tuple[float, float]
     iterations: int
-    analytic_value: float | None
     true_at_high: bool
 
 
-# Read from the payoff tables, which are bit-identical to the is_nash oracle.
-PREDICATES: dict[str, Callable[[Scenario, float], bool]] = {
-    "all_buffer_nash": lambda s, e: not payoff_tables(s).pole_deviators(False, e),
-    "all_buffer_not_nash": lambda s, e: bool(payoff_tables(s).pole_deviators(False, e)),
-    "all_expose_nash": lambda s, e: not payoff_tables(s).pole_deviators(True, e),
-    "all_expose_not_nash": lambda s, e: bool(payoff_tables(s).pole_deviators(True, e)),
+# Read from compiled payoff tables, which are bit-identical to the is_nash oracle.
+PREDICATES: dict[str, Callable[[PayoffTables, float], bool]] = {
+    "all_buffer_nash": lambda t, e: not t.pole_deviators(False, e),
+    "all_buffer_not_nash": lambda t, e: bool(t.pole_deviators(False, e)),
+    "all_expose_nash": lambda t, e: not t.pole_deviators(True, e),
+    "all_expose_not_nash": lambda t, e: bool(t.pole_deviators(True, e)),
 }
 
 
@@ -214,35 +211,16 @@ def normalize_predicate(name: str) -> str:
     return key
 
 
-def _analytic_threshold(
-    scenario: Scenario, path: str, predicate: str, lo: float, hi: float,
-    bracket: tuple[float, float],
-) -> float | None:
-    """Secant root of the relevant flip margin, certified by the bisection.
+def _float_key(x: float) -> int:
+    """x's rank among the floats: adjacent floats get consecutive keys, and
+    both zeros get 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(1 << 63) - bits
 
-    The margin is the per-ward expose-minus-buffer gain at the pole profile
-    the predicate tests: against all-buffer others for the all-buffer
-    predicates (for a symmetric linear game this yields the closed forms
-    F* = (c(E) - c(B) - B(1) + B(0)) / p for an observability penalty and
-    delta_E* = c(E) - c(B) - B(1) + B(0) + delta_B for an effort delta), and
-    against all-expose others for the all-expose predicates (cap* =
-    c(B) + B(N) - B(N-1) for a mechanism cap). The root of the secant through
-    lo and hi is returned only when it lies in the bisection's final
-    `bracket`, where the predicate flips; None otherwise.
-    """
-    if not is_symmetric(scenario):
-        return None
-    k_others = 0 if predicate.startswith("all_buffer") else scenario.n - 1
 
-    def margin(v: float) -> float:
-        tables = payoff_tables(set_by_path(scenario, path, v))
-        return tables.gain_to_expose(0, k_others)
-
-    m_lo, m_hi = margin(lo), margin(hi)
-    if m_lo == m_hi:
-        return None
-    root = lo - m_lo * (hi - lo) / (m_hi - m_lo)
-    return root if bracket[0] <= root <= bracket[1] else None
+def _key_float(key: int) -> float:
+    x = struct.unpack("<d", struct.pack("<q", abs(key)))[0]
+    return -x if key < 0 else x
 
 
 def critical_threshold(
@@ -253,45 +231,65 @@ def critical_threshold(
     predicate: str,
     epsilon: float = 0.0,
 ) -> ThresholdResult:
-    """Bisect for the parameter value where the predicate flips.
+    """The two adjacent parameter values in [lo, hi] where the predicate flips.
 
-    The predicate must differ at the two ends of the bracket. Bisection
-    narrows the bracket to _BISECT_WIDTH, or to two adjacent floats when the
-    float spacing there is coarser, and reports its midpoint; the boundary
-    itself is evaluated with weak-Nash semantics.
+    The predicate must differ at lo and hi. The search runs over the
+    parameter's values in order (floats by bit pattern, or the integers of
+    an integer field): it gallops out from a hint until the predicate
+    changes, then bisects. Every step keeps the predicate's value at lo at
+    the lower end and its other value at the upper end, so the search ends
+    at two adjacent values where the predicate differs, monotone or not.
+    Boundaries are evaluated with weak-Nash semantics.
     """
     if not lo < hi:
         raise ScenarioError(f"need lo < hi, got lo={lo}, hi={hi}")
     key = normalize_predicate(predicate)
     pred = PREDICATES[key]
+    integer = isinstance(_resolve(scenario, parameter_path)[1], int)
+    to_key, from_key = (int, float) if integer else (_float_key, _key_float)
 
-    def at(v: float) -> bool:
-        return pred(set_by_path(scenario, parameter_path, v), epsilon)
+    def tables_at(value: float) -> PayoffTables:
+        return payoff_tables(set_by_path(scenario, parameter_path, value))
 
-    p_lo, p_hi = at(lo), at(hi)
+    t_lo, t_hi = tables_at(lo), tables_at(hi)
+    p_lo, p_hi = pred(t_lo, epsilon), pred(t_hi, epsilon)
     if p_lo == p_hi:
         raise BracketError(
             f"predicate {key!r} is {p_lo} at both ends of [{lo}, {hi}]"
         )
-    a, b = lo, hi
+    # A ward's pole margin is positive where it deviates from the pole. The
+    # hint is where the secant through its margins at lo and hi crosses 0, for
+    # the first ward to deviate or, when some deviate at lo, the last to stop.
+    j, sign = (scenario.n - 1, -1.0) if key.startswith("all_expose") else (0, 1.0)
+    crossings = []
+    for i in range(scenario.n):
+        u, w = (sign * t.gain_to_expose(i, j) - epsilon for t in (t_lo, t_hi))
+        if (u > 0) != (w > 0):
+            crossings.append(u / (u - w))
+    f = (max if p_lo == key.endswith("_not_nash") else min)(crossings, default=0.5)
+    a, b = to_key(lo), to_key(hi)
     iterations = 0
-    while b - a > _BISECT_WIDTH and iterations < _MAX_BISECT_ITERS:
-        mid = 0.5 * a + 0.5 * b  # halving first cannot overflow
-        if not a < mid < b:
-            break  # a and b are adjacent floats: the bracket cannot shrink
+
+    def split(k: int) -> bool:
+        """Evaluate at k inside the bracket; True when k becomes its lower end."""
+        nonlocal a, b, iterations
         iterations += 1
-        if at(mid) == p_lo:
-            a = mid
-        else:
-            b = mid
-    analytic = None
-    if epsilon == 0.0:
-        analytic = _analytic_threshold(scenario, parameter_path, key, lo, hi, (a, b))
+        below = pred(tables_at(from_key(k)), epsilon) == p_lo
+        a, b = (k, b) if below else (a, k)
+        return below
+
+    if b - a > 1:
+        up = split(min(max(to_key(lo * (1 - f) + hi * f), a + 1), b - 1))
+        step = 1
+        # the gallop clamps each probe into the open bracket
+        while b - a > 1 and split(min(a + step, b - 1) if up else max(b - step, a + 1)) == up:
+            step *= 2
+        while b - a > 1:
+            split((a + b) // 2)
     return ThresholdResult(
-        critical_value=0.5 * a + 0.5 * b,
         predicate=key,
-        bracket=(a, b),
+        critical_value=from_key(b),
+        bracket=(from_key(a), from_key(b)),
         iterations=iterations,
-        analytic_value=analytic,
         true_at_high=p_hi,
     )

@@ -8,6 +8,7 @@ tolerance is pinned here.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 
@@ -79,7 +80,8 @@ def test_criterion_03_effort_reduction_flip(s0):
         s, "interventions[0].delta_expose", 0.0, 1.0, "all_buffer_not_nash"
     )
     assert result.critical_value == pytest.approx(0.7, abs=1e-6)
-    assert result.analytic_value == pytest.approx(0.7, abs=1e-9)
+    a, b = result.bracket
+    assert a <= 0.7 <= b and b == math.nextafter(a, math.inf)
     _pass(3, "delta_expose threshold = 0.7 within 1e-6, matching the margin-zero point")
 
 
@@ -91,7 +93,8 @@ def test_criterion_04_observability_threshold(s0):
     closed_form = (2.0 - 1.0 - s0.benefit_at(1)) / 0.5
     assert result.critical_value == pytest.approx(1.4, abs=1e-6)
     assert result.critical_value == pytest.approx(closed_form, abs=1e-6)
-    assert result.analytic_value == pytest.approx(closed_form, abs=1e-9)
+    a, b = result.bracket
+    assert a <= closed_form <= b and b == math.nextafter(a, math.inf)
 
     strong = Scenario(s0.wards, s0.benefit, (Observability(p0=0.5, penalty=2.0),))
     weak = Scenario(s0.wards, s0.benefit, (Observability(p0=0.5, penalty=1.0),))
@@ -109,7 +112,8 @@ def test_criterion_05_mechanism_flip(s0):
     closed_form = 1.0 + s0.benefit_at(1)
     assert result.critical_value == pytest.approx(1.3, abs=1e-6)
     assert result.critical_value == pytest.approx(closed_form, abs=1e-6)
-    assert result.analytic_value == pytest.approx(closed_form, abs=1e-9)
+    a, b = result.bracket
+    assert a <= closed_form <= b and b == math.nextafter(a, math.inf)
     _pass(5, "cap 1.2 makes all-E the unique Nash; cap threshold 1.3 = c_B + B(1)")
 
 

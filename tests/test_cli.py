@@ -349,7 +349,7 @@ class TestAnalyze:
             ["analyze", str(SCENARIOS / "s0_baseline.json"), "--out", str(out_path)]
         ) == 0
         report = json.loads(out_path.read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["scenario"]["n_wards"] == 4
         assert report["equilibrium"]["nash_profiles"] == [
             {"profile": "BBBB", "strict": True}
@@ -850,14 +850,35 @@ class TestSweep:
         ) == 0
         doc = json.loads(out.read_text())
         assert doc["critical_value"] == pytest.approx(1.4, abs=1e-6)
-        assert doc["analytic_value"] == pytest.approx(1.4, abs=1e-9)
-        # no golden covers this document, so its key order is pinned here
+        a, b = doc["bracket"]
+        assert math.nextafter(a, math.inf) == b == doc["critical_value"]
         assert list(doc) == [
             "schema_version", "scenario", "parameter_path", "predicate",
-            "critical_value", "bracket", "iterations", "analytic_value",
-            "true_at_high",
+            "critical_value", "bracket", "iterations", "true_at_high",
         ]
-        assert isinstance(doc["true_at_high"], bool) and len(doc["bracket"]) == 2
+        assert isinstance(doc["true_at_high"], bool)
+
+    def test_integer_path_threshold(self, tmp_path, capsys):
+        # tau moves in whole steps: the bracket holds two consecutive integers
+        out = tmp_path / "threshold.json"
+        assert main(["sweep", str(SCENARIOS / "v0_veto.json"), "--path", "benefit.tau",
+                     "--lo", "1", "--hi", "4", "--critical",
+                     "--predicate", "all_expose_not_nash", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        assert doc["bracket"] == [3.0, 4.0] and doc["critical_value"] == 4.0
+        assert doc["true_at_high"] is False
+
+    def test_grid_with_an_overflowing_span(self, capsys):
+        # hi - lo overflows; every grid point is still a finite value in [lo, hi]
+        assert main(["sweep", str(SCENARIOS / "s0_observability.json"),
+                     "--path", "interventions[0].p_slope", "--lo=-1.7e308",
+                     "--hi=1.7e308", "--steps", "3",
+                     "--observables", "classification"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "value,classification", "-1.7e+308,Mixed/Other", "0.0,Bistable",
+            "1.7e+308,Bistable",
+        ]
 
     def test_unresolvable_path_exits_2(self, capsys):
         assert main(
@@ -930,6 +951,20 @@ class TestReport:
         threshold = json.loads((bundle / "threshold_0_observability.json").read_text())
         assert threshold["critical_value"] == pytest.approx(1.4, abs=1e-6)
 
+    def test_zero_exposure_costs_skip_the_canonical_sweep(self, tmp_path, capsys):
+        # the canonical bracket [0, scale * max c(E)] is empty: no sweep, a note, exit 0
+        doc = {"n_wards": 3,
+               "wards": {"symmetric": {"cost_expose": 0.0, "cost_buffer": 0.0}},
+               "benefit": {"kind": "linear", "beta_per_exposer": 0.5},
+               "interventions": [{"kind": "observability", "p0": 0.5, "penalty": 1.0}]}
+        bundle = tmp_path / "bundle"
+        argv = ["report", str(write_scenario(tmp_path, doc)), "--bundle", str(bundle)]
+        assert main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == ("note: skipping canonical sweep for interventions[0] "
+                           "(every cost_expose is 0: bracket [0, 0])")
+        assert [p.name for p in bundle.iterdir()] == ["analyze.json"]
+
     def test_threshold_runtime_error_exits_1(self, tmp_path, monkeypatch, capsys):
         # only a bracket without a flip becomes a note; other errors surface
         def broken(*args, **kwargs):
@@ -992,6 +1027,14 @@ class TestGoldens:
         )
         produced = (bundle / "margin_0_observability.svg").read_bytes()
         assert produced == (GOLDEN / "s0_observability.margin.svg").read_bytes()
+
+
+    def test_threshold_json_matches_golden(self, tmp_path, capsys):
+        out = tmp_path / "threshold.json"
+        main(["sweep", str(SCENARIOS / "s0_observability.json"), "--path",
+              "interventions[0].penalty", "--lo", "0", "--hi", "5", "--critical",
+              "--predicate", "all_buffer_not_nash", "--out", str(out)])
+        assert out.read_bytes() == (GOLDEN / "s0_observability.threshold.json").read_bytes()
 
 
 class TestDumpJson:

@@ -29,7 +29,6 @@ from wardgames import (
     enumerate_nash,
     flip_conditions,
     integrate_replicator,
-    is_symmetric,
     payoff_tables,
     symmetric_scenario,
     welfare,
@@ -294,19 +293,19 @@ class TestComposition:
 
 class TestSymmetryDetection:
     def test_symmetric_scenarios_detected(self, s0):
-        assert is_symmetric(s0)
+        assert payoff_tables(s0).symmetric
 
     def test_broadcast_cap_keeps_symmetry(self, s0):
         s = Scenario(s0.wards, s0.benefit, (Mechanism(1.2),))
-        assert is_symmetric(s)
+        assert payoff_tables(s).symmetric
 
     def test_per_ward_caps_break_symmetry(self, s0):
         s = Scenario(s0.wards, s0.benefit, (Mechanism((1.2, 1.2, 1.2, 0.9)),))
-        assert not is_symmetric(s)
+        assert not payoff_tables(s).symmetric
 
     def test_cost_differences_break_symmetry(self):
         wards = (Ward(0, 2.0, 1.0), Ward(1, 2.0, 1.0), Ward(2, 2.5, 1.0))
-        assert not is_symmetric(Scenario(wards, LinearBenefit(0.3)))
+        assert not payoff_tables(Scenario(wards, LinearBenefit(0.3))).symmetric
 
     def test_equal_effective_costs_are_symmetric(self):
         # a broadcast cap erases the raw cost differences: payoffs are identical
@@ -315,11 +314,11 @@ class TestSymmetryDetection:
         wards = (Ward(0, 3.0, 1.0), Ward(1, 4.0, 1.0), Ward(2, 3.5, 1.0))
         s = Scenario(wards, veto, tuple(cap))
         same = symmetric_scenario(3, 3.0, 1.0, veto, cap)
-        assert is_symmetric(s)
+        assert payoff_tables(s).symmetric
         assert integrate_replicator(s, 0.5) == integrate_replicator(same, 0.5)
         path = "interventions[0].capped_cost_expose"
         found = critical_threshold(s, path, 0.5, 6.0, "all_expose_nash")
-        assert found.analytic_value == 4.0
+        assert found.bracket == (4.0, math.nextafter(4.0, math.inf))  # cap* = c(B) + beta
         assert found == critical_threshold(same, path, 0.5, 6.0, "all_expose_nash")
 
 

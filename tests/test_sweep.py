@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 import time
+from dataclasses import replace
 
 import pytest
 
 from wardgames import (
     ActionProfile,
     BracketError,
+    ConcaveBenefit,
     EffortReduction,
     LinearBenefit,
     Mechanism,
@@ -336,37 +339,103 @@ class TestNashSetsOfAnySize:
             assert row["nash_set"] == [str(p) for p, _ in report.nash_profiles]
 
 
+def pole_is_nash(scenario: Scenario, path: str, value: float, predicate: str,
+                 epsilon: float) -> bool:
+    """is_nash of the predicate's pole profile in the scenario at `value`."""
+    s = set_by_path(scenario, path, value)
+    pole = ActionProfile.all_expose if "expose" in predicate else ActionProfile.all_buffer
+    return is_nash(s, pole(s.n), epsilon).is_nash
+
+
+def assert_certified(scenario, path, lo, hi, predicate, result, epsilon=0.0):
+    """The bracket holds two adjacent values inside [lo, hi] at which the
+    pole's is_nash takes its values at lo and at hi, and these differ."""
+    a, b = result.bracket
+    integer = isinstance(get_by_path(scenario, path), int)
+    assert lo <= a < b <= hi
+    assert b == (a + 1 if integer else math.nextafter(a, math.inf))
+    assert result.critical_value == b
+    assert result.iterations <= 128
+    nash = [pole_is_nash(scenario, path, v, predicate, epsilon) for v in (lo, a, b, hi)]
+    assert nash[0] == nash[1] != nash[2] == nash[3]
+    assert result.true_at_high == (nash[3] != result.predicate.endswith("_not_nash"))
+
+
+def _ordinal(x: float) -> int:
+    (bits,) = struct.unpack(">Q", struct.pack(">d", x))
+    return bits if bits >> 63 == 0 else (1 << 63) - bits
+
+
+def _from_ordinal(k: int) -> float:
+    (x,) = struct.unpack(">d", struct.pack(">Q", abs(k)))
+    return math.copysign(x, k)
+
+
+def plain_bisection(scenario, path, lo, hi, predicate, epsilon):
+    """The flip of the pole's is_nash found by halving [lo, hi] in float bit
+    order from no hint, or None when is_nash is the same at both ends."""
+    a, b = _ordinal(lo), _ordinal(hi)
+    at_lo = pole_is_nash(scenario, path, lo, predicate, epsilon)
+    if pole_is_nash(scenario, path, hi, predicate, epsilon) == at_lo:
+        return None
+    while b - a > 1:
+        mid = (a + b) // 2
+        if pole_is_nash(scenario, path, _from_ordinal(mid), predicate, epsilon) == at_lo:
+            a = mid
+        else:
+            b = mid
+    return _from_ordinal(a), _from_ordinal(b)
+
+
+PREDICATE_NAMES = ("all_buffer_nash", "all_buffer_not_nash", "all_expose_nash",
+                   "all_expose_not_nash")
+
+
+def canonical_case(rng: random.Random, s: Scenario) -> tuple[Scenario, str, float, float]:
+    """The scenario with one more intervention, or none, and the path and
+    bracket `report` would search, or a ward's exposure cost."""
+    max_ce = max(w.cost_expose for w in s.wards)
+    ivs, kind = s.interventions, rng.randrange(4)
+    path = f"interventions[{len(ivs)}]."
+    if kind == 0:
+        ivs += (EffortReduction(0.0, rng.uniform(0.0, 0.5)),)
+        return replace(s, interventions=ivs), path + "delta_expose", 0.0, 2.0 * max_ce
+    if kind == 1:
+        ivs += (Observability(rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0), 0.0),)
+        return replace(s, interventions=ivs), path + "penalty", 0.0, 4.0 * max_ce
+    if kind == 2:
+        mode = rng.choice(list(MechanismMode))
+        ivs += (Mechanism(0.0, mode),)
+        return replace(s, interventions=ivs), path + "capped_cost_expose", 0.0, max_ce
+    return s, f"wards[{rng.randrange(s.n)}].cost_expose", 0.0, 2.0 * max_ce + 1.0
+
+
 class TestCriticalThreshold:
     def test_observability_threshold(self):
         s = obs_scenario(penalty=0.0)
-        result = critical_threshold(
-            s, "interventions[0].penalty", 0.0, 5.0, "all_buffer_not_nash"
-        )
-        assert result.critical_value == pytest.approx(1.4, abs=1e-6)
-        assert result.analytic_value == pytest.approx(1.4, abs=1e-12)
-        assert abs(result.critical_value - result.analytic_value) <= 1e-6
+        path = "interventions[0].penalty"
+        result = critical_threshold(s, path, 0.0, 5.0, "all_buffer_not_nash")
+        assert result.bracket == (1.4, math.nextafter(1.4, math.inf))
+        assert result.critical_value == 1.4000000000000001
         assert result.true_at_high
-        # the adjacent-float stop and the iteration cap leave this bracket's
-        # steps and result exactly as they were
-        assert result.iterations == 33
-        assert result.critical_value == 1.39999999984866
+        # the secant hint lands on the flip: two evaluations inside [0, 5]
+        assert result.iterations == 2
+        assert_certified(s, path, 0.0, 5.0, "all_buffer_not_nash", result)
 
     def test_effort_threshold(self, s0):
         s = Scenario(s0.wards, s0.benefit, (EffortReduction(0.0, 0.0),))
-        result = critical_threshold(
-            s, "interventions[0].delta_expose", 0.0, 1.0, "all_buffer_not_nash"
-        )
-        assert result.critical_value == pytest.approx(0.7, abs=1e-6)
-        assert result.analytic_value == pytest.approx(0.7, abs=1e-12)
+        path = "interventions[0].delta_expose"
+        result = critical_threshold(s, path, 0.0, 1.0, "all_buffer_not_nash")
+        assert result.bracket == (0.7, math.nextafter(0.7, math.inf))
+        assert_certified(s, path, 0.0, 1.0, "all_buffer_not_nash", result)
 
     def test_mechanism_threshold(self, s0):
         s = Scenario(s0.wards, s0.benefit, (Mechanism(1.2),))
-        result = critical_threshold(
-            s, "interventions[0].capped_cost_expose", 0.0, 2.0, "all_expose_nash"
-        )
-        assert result.critical_value == pytest.approx(1.3, abs=1e-6)
-        assert result.analytic_value == pytest.approx(1.3, abs=1e-12)
+        path = "interventions[0].capped_cost_expose"
+        result = critical_threshold(s, path, 0.0, 2.0, "all_expose_nash")
+        assert result.bracket == (1.3, math.nextafter(1.3, math.inf))
         assert not result.true_at_high
+        assert_certified(s, path, 0.0, 2.0, "all_expose_nash", result)
 
     def test_predicate_name_normalisation(self):
         s = obs_scenario(penalty=0.0)
@@ -386,7 +455,10 @@ class TestCriticalThreshold:
             )
 
     def test_bisection_matches_closed_form_randomised(self):
-        # randomized linear-benefit symmetric family, single intervention
+        # symmetric linear family: F* = (c(E) - c(B) - B(1) + B(0)) / p,
+        # delta_E* = c(E) - c(B) - B(1) + B(0) + delta_B, cap* = c(B) + B(N) - B(N-1).
+        # The float margins round at the scale of the largest term they add, so
+        # each closed form lies within two ulps of that term of the bracket.
         rng = random.Random(89)
         for _ in range(25):
             n = rng.randint(2, 8)
@@ -394,17 +466,25 @@ class TestCriticalThreshold:
             ce = cb + rng.uniform(0.1, 2.0)
             beta = rng.uniform(0.0, 0.9 * (ce - cb))
             p = rng.uniform(0.2, 1.0)
-            s = symmetric_scenario(
-                n, ce, cb, LinearBenefit(beta), [Observability(p0=p, penalty=0.0)]
-            )
-            f_star = (ce - cb - beta) / p
-            hi = 2.0 * f_star + 1.0
-            result = critical_threshold(
-                s, "interventions[0].penalty", 0.0, hi, "all_buffer_not_nash"
-            )
-            assert result.critical_value == pytest.approx(f_star, abs=1e-6)
-            assert result.analytic_value == pytest.approx(f_star, rel=1e-9)
-            assert abs(result.critical_value - result.analytic_value) <= 1e-6
+            d_b = rng.uniform(0.0, 0.1)
+            base = symmetric_scenario(n, ce, cb, LinearBenefit(beta))
+            b1, bn1, bn = (base.benefit_at(k) for k in (1, n - 1, n))
+            scale = math.ulp(max(ce, cb, bn))
+            cases = [
+                (Observability(p0=p, penalty=0.0), "penalty", 2.0 * ce / p,
+                 "all_buffer_not_nash", (ce - cb - b1) / p, 2 * scale / p),
+                (EffortReduction(0.0, d_b), "delta_expose", ce, "all_buffer_not_nash",
+                 ce - cb - b1 + d_b, 2 * scale),
+                (Mechanism(0.0), "capped_cost_expose", ce, "all_expose_nash",
+                 cb + bn - bn1, 2 * scale),
+            ]
+            for iv, name, hi, predicate, closed_form, tolerance in cases:
+                s = replace(base, interventions=(iv,))
+                path = f"interventions[0].{name}"
+                result = critical_threshold(s, path, 0.0, hi, predicate)
+                assert_certified(s, path, 0.0, hi, predicate, result)
+                a, b = result.bracket
+                assert a - tolerance <= closed_form <= b + tolerance
 
     def test_observability_and_effort_thresholds_coincide(self):
         # p * F* equals the critical effort differential for the same baseline
@@ -427,33 +507,35 @@ class TestCriticalThreshold:
             d_star = critical_threshold(
                 s_eff, "interventions[0].delta_expose", 0.0, ce, "all_buffer_not_nash"
             ).critical_value
-            assert p * f_star == pytest.approx(d_star, abs=1e-6)
+            assert p * f_star == pytest.approx(d_star, abs=1e-12)
 
-    def test_no_analytic_value_for_asymmetric_scenarios(self, s0):
+    def test_asymmetric_threshold_is_the_first_ward_to_flip(self, s0):
+        # ward 3 (c(E) = 3) flips at delta_E = 1.7, after the others at 0.7
         wards = s0.wards[:3] + (type(s0.wards[0])(3, 3.0, 1.0),)
         s = Scenario(wards, s0.benefit, (EffortReduction(0.0, 0.0),))
-        result = critical_threshold(
-            s, "interventions[0].delta_expose", 0.0, 2.5, "all_buffer_not_nash"
-        )
-        assert result.analytic_value is None
+        assert not payoff_tables(s).symmetric
+        path = "interventions[0].delta_expose"
+        result = critical_threshold(s, path, 0.0, 2.5, "all_buffer_not_nash")
+        assert result.bracket == (0.7, math.nextafter(0.7, math.inf))
+        result = critical_threshold(s, path, 0.0, 2.5, "all_buffer_nash")
+        assert result.bracket == (0.7, math.nextafter(0.7, math.inf))
+        assert_certified(s, path, 0.0, 2.5, "all_buffer_nash", result)
 
     @pytest.mark.parametrize(
         "cost_expose, lo, hi", [(3e9, 0.0, 1e10), (1.5e308, 1e308, 1.7e308)]
     )
     def test_bisection_stops_at_adjacent_floats(self, cost_expose, lo, hi):
-        # near the root the float spacing exceeds the stopping width, so only the adjacency
-        # check ends the loop; in the second bracket lo + hi overflows
+        # near the root the float spacing is far above 1e-9; in the second
+        # bracket hi - lo is finite but lo + hi overflows
         s = symmetric_scenario(
             4, cost_expose, 1.0, LinearBenefit(0.3), [Observability(1.0, 0.0, 0.0)]
         )
         start = time.perf_counter()
-        result = critical_threshold(
-            s, "interventions[0].penalty", lo, hi, "all_buffer_not_nash"
-        )
+        path = "interventions[0].penalty"
+        result = critical_threshold(s, path, lo, hi, "all_buffer_not_nash")
         assert time.perf_counter() - start < 1.0
+        assert_certified(s, path, lo, hi, "all_buffer_not_nash", result)
         a, b = result.bracket
-        assert math.nextafter(a, math.inf) == b
-        assert a <= result.critical_value <= b
         assert a <= cost_expose - 1.0 - 0.3 <= b
 
     def test_threshold_on_veto_game_mechanism(self, v0):
@@ -463,6 +545,80 @@ class TestCriticalThreshold:
             critical_threshold(
                 s, "interventions[0].capped_cost_expose", 0.0, 2.0, "all_expose_nash"
             )
+
+    def test_equals_plain_bisection_on_random_scenarios(self):
+        # Canonical paths and ward costs enter every pole margin monotonically,
+        # so the flip is unique and the hinted search must find the pair a
+        # hint-free bisection finds.
+        rng = random.Random(131)
+        found = 0
+        for trial in range(240):
+            s = (repeated_costs_scenario(rng, with_interventions=True) if trial % 4 == 3
+                 else random_scenario(rng, symmetric=trial % 2 == 0, with_interventions=True))
+            s, path, lo, hi = canonical_case(rng, s)
+            predicate = rng.choice(PREDICATE_NAMES)
+            epsilon = (0.0, rng.uniform(0.0, 0.3))[trial % 3 == 1]
+            expected = plain_bisection(s, path, lo, hi, predicate, epsilon)
+            if expected is None:
+                with pytest.raises(BracketError):
+                    critical_threshold(s, path, lo, hi, predicate, epsilon)
+                continue
+            result = critical_threshold(s, path, lo, hi, predicate, epsilon)
+            assert result.bracket == expected, (s, path, predicate, epsilon)
+            assert_certified(s, path, lo, hi, predicate, result, epsilon)
+            found += 1
+        assert found > 100
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_certified_where_the_hint_is_poor(self, trial):
+        # gamma enters B(k) = beta * k^gamma non-linearly and p_slope can push
+        # p(k) past its clamp, so the secant hint may land far from the flip
+        rng = random.Random(trial)
+        for _ in range(20):
+            s = random_scenario(rng, with_interventions=True)
+            max_ce = max(w.cost_expose for w in s.wards)
+            s = replace(s, benefit=ConcaveBenefit(rng.uniform(0.5, 4.0) * max_ce, 0.5),
+                        interventions=s.interventions + (Observability(0.3, 0.0, max_ce),))
+            k = len(s.interventions) - 1
+            for path, lo, hi in (("benefit.gamma", 1e-3, 1.0),
+                                 (f"interventions[{k}].p_slope", -3.0, 3.0)):
+                for predicate in PREDICATE_NAMES:
+                    try:
+                        result = critical_threshold(s, path, lo, hi, predicate)
+                    except BracketError:
+                        continue
+                    assert_certified(s, path, lo, hi, predicate, result)
+
+    def test_flip_at_an_end_of_the_bracket(self):
+        # the flip pair itself, and brackets that end on one of its values
+        s = obs_scenario(penalty=0.0)
+        path = "interventions[0].penalty"
+        a, b = 1.4, math.nextafter(1.4, math.inf)
+        for lo, hi in ((a, b), (0.0, b), (a, 5.0), (a, 1e300), (-0.0, b)):
+            for predicate in ("all_buffer_nash", "all_buffer_not_nash"):
+                result = critical_threshold(s, path, lo, hi, predicate)
+                assert result.bracket == (a, b)
+                assert_certified(s, path, lo, hi, predicate, result)
+        assert critical_threshold(s, path, a, b, "all_buffer_nash").iterations == 0
+        # the margin is 0 at a, so the hint is a itself; clamped into the open
+        # bracket it becomes b, the only value evaluated
+        assert critical_threshold(s, path, a, 5.0, "all_buffer_nash").iterations == 1
+
+    def test_integer_field(self):
+        # the veto game's all-Expose profile is Nash only while tau = N
+        s = symmetric_scenario(6, 2.0, 1.0, ThresholdBenefit(tau=3, beta=3.0))
+        for lo in (1.0, 3.0, 5.0):
+            result = critical_threshold(s, "benefit.tau", lo, 6.0, "all_expose_not_nash")
+            assert result.bracket == (5.0, 6.0)
+            assert_certified(s, "benefit.tau", lo, 6.0, "all_expose_not_nash", result)
+        with pytest.raises(ScenarioError, match="integer field; got 1.5"):
+            critical_threshold(s, "benefit.tau", 1.5, 6.0, "all_expose_not_nash")
+
+    def test_ends_are_evaluated_at_the_given_values(self):
+        s = obs_scenario(penalty=0.0)
+        with pytest.raises(ScenarioError, match="penalty must be finite and >= 0"):
+            critical_threshold(s, "interventions[0].penalty", -1.0, 5.0,
+                               "all_buffer_not_nash")
 
 
 class TestPredicates:
@@ -480,6 +636,7 @@ class TestPredicates:
                 expose = poles["expose"]
                 dev = expose.with_action(0, expose.actions[0].flipped())
                 epsilon = abs(effective_payoff(s, dev, 0) - effective_payoff(s, expose, 0))
+            tables = payoff_tables(s)
             for name, pred in PREDICATES.items():
                 nash = is_nash(s, poles[name.split("_")[1]], epsilon).is_nash
-                assert pred(s, epsilon) == (nash != name.endswith("_not_nash")), (name, s)
+                assert pred(tables, epsilon) == (nash != name.endswith("_not_nash")), (name, s)
