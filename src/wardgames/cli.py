@@ -62,6 +62,7 @@ from .sweep import (
     SweepSpec,
     ThresholdResult,
     critical_threshold,
+    get_by_path,
     normalize_predicate,
     sweep_parameter,
 )
@@ -731,6 +732,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if NASH_OBSERVABLES & set(observables):
         _require_nash_size(scenario)
+    if isinstance(get_by_path(scenario, args.path), int):  # such as benefit.tau
+        _require(args.lo.is_integer() and args.hi.is_integer(), "--lo/--hi",
+                 f"{args.path!r} names an integer field; got lo={args.lo}, hi={args.hi}")
+        off = next((v for v in spec.grid() if not v.is_integer()), None)
+        _require(off is None, "--steps",
+                 f"{args.path!r} names an integer field, but {args.steps} points over "
+                 f"[{args.lo}, {args.hi}] include {off}; steps - 1 must divide hi - lo")
     rows = sweep_parameter(scenario, spec, epsilon=epsilon)
     _write_output(sweep_rows_to_csv(rows, observables, scenario.n), args.out)
     return EXIT_OK

@@ -229,7 +229,8 @@ def _binomial_mean(c: list[float]) -> Gain:
     from logarithms and the others from the ratios (m - j) / (j + 1) *
     x / (1 - x), walking up and down from j0 until a weight underflows to
     exactly 0. No weight exceeds 1, so nothing overflows at any m. There is
-    no relative cutoff: the portrait reads an exact 0 as a root.
+    no relative cutoff: the portrait reads an exact 0 as a root. The walk
+    reads prebuilt (ratio, coefficient) pairs from j0, in the same order.
     x <= 0 (or NaN) and x >= 1 give c[0] and c[m].
     """
     m = len(c) - 1
@@ -238,26 +239,28 @@ def _binomial_mean(c: list[float]) -> Gain:
         log_comb.append(math.log(k))
         k = k * (m - j) // (j + 1)
     up = [(m - j) / (j + 1) for j in range(m)]  # w[j + 1] / w[j] is up[j] * r
+    rise, fall = list(zip(up, c[1:])), list(zip(up, c))[::-1]  # from j0: [j0:], [m - j0:]
+    exp, log, log1p = math.exp, math.log, math.log1p
 
     def mean(x: float) -> float:
         if not x > 0.0:  # also NaN, which an overflowing RK4 stage can pass
             return c[0]
         if x >= 1.0:
             return c[m]
-        j0 = min(m, int((m + 1) * x))
-        w0 = math.exp(log_comb[j0] + j0 * math.log(x) + (m - j0) * math.log1p(-x))
+        j0 = int((m + 1) * x)  # at most m: (m + 1) * (1 - 2**-53) rounds below m + 1
+        w0 = exp(log_comb[j0] + j0 * log(x) + (m - j0) * log1p(-x))
         total, w, r = w0 * c[j0], w0, x / (1.0 - x)
-        for j in range(j0, m):
-            w *= up[j] * r
+        for u, cj in rise[j0:]:
+            w *= u * r
             if not w:
                 break
-            total += w * c[j + 1]
+            total += w * cj
         w = w0
-        for j in range(j0 - 1, -1, -1):
-            w /= up[j] * r
+        for u, cj in fall[m - j0:]:
+            w /= u * r
             if not w:
                 break
-            total += w * c[j]
+            total += w * cj
         return total
 
     return mean
@@ -344,7 +347,9 @@ def integrate_replicator(
     [0, 1] by more than 1e-9 raises NumericalError (dt too large); smaller
     excursions are clamped. dt and t_end must be finite, t_end / dt at most
     MAX_RK4_STEPS, and N at most MAX_REPLICATOR_WARDS (the portrait's limit).
-    The payoff tables and the O(N) gain are built once.
+    The payoff tables and the O(N) gain are built once. The flow is
+    autonomous: once a step of size h leaves x unchanged, the steps after it
+    append rows without evaluating the gain until h changes (the last step).
     """
     if not 0.0 <= x0 <= 1.0:
         raise ScenarioError(f"x0 must lie in [0, 1], got {x0}")
@@ -359,24 +364,24 @@ def integrate_replicator(
     g = [e - b for e, b in zip(*_replicator_tables(scenario))]
     gain = _binomial_mean(g)  # c[0] / c[m] outside [0, 1]: no clamp needed
 
-    def f(x: float) -> float:
-        return x * (1.0 - x) * gain(x)
-
     traj = [(0.0, x0)]
-    x = x0
-    t = 0.0
+    x, t, last = x0, 0.0, None
     while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not -1e-9 <= x <= 1.0 + 1e-9:  # NaN too
-            raise NumericalError(
-                f"trajectory left [0, 1] at t={t + h} (x={x}); reduce dt"
-            )
-        x = min(1.0, max(0.0, x))
+        h = t_end - t if t_end - t < dt else dt
+        if (x, h) != last:  # else an evaluated step began at this x and h and kept x
+            last = (x, h)
+            k1 = x * (1.0 - x) * gain(x)
+            y = x + 0.5 * h * k1
+            k2 = y * (1.0 - y) * gain(y)
+            y = x + 0.5 * h * k2
+            k3 = y * (1.0 - y) * gain(y)
+            y = x + h * k3
+            k4 = y * (1.0 - y) * gain(y)
+            x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            if not 0.0 < x < 1.0:
+                if not -1e-9 <= x <= 1.0 + 1e-9:  # NaN too
+                    raise NumericalError(f"trajectory left [0, 1] at t={t + h} (x={x}); reduce dt")
+                x = 0.0 if x < 0.5 else 1.0
         t = t + h
         traj.append((t, x))
     fixed, basins = _phase_portrait(g, gain)

@@ -869,6 +869,26 @@ class TestSweep:
         assert doc["bracket"] == [3.0, 4.0] and doc["critical_value"] == 4.0
         assert doc["true_at_high"] is False
 
+    @pytest.mark.parametrize("lo, hi, steps, flag", [
+        ("1", "4", "3", "--steps"), ("1", "4", "5", "--steps"), ("1.5", "4", "6", "--lo/--hi"),
+    ])
+    def test_integer_path_grid_off_the_integers_exits_2(self, lo, hi, steps, flag, capsys):
+        # an evenly spaced grid would hand tau a value the user never gave, such as 2.5
+        assert main(["sweep", str(SCENARIOS / "v0_veto.json"), "--path", "benefit.tau",
+                     "--lo", lo, "--hi", hi, "--steps", steps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}: 'benefit.tau' names an integer field")
+
+    def test_integer_path_grid_on_the_integers(self, capsys):
+        assert main(["sweep", str(SCENARIOS / "v0_veto.json"), "--path", "benefit.tau",
+                     "--lo", "1", "--hi", "4", "--steps", "4",
+                     "--observables", "classification"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "value,classification", "1.0,Mixed/Other", "2.0,Mixed/Other",
+            "3.0,Mixed/Other", "4.0,Bistable",
+        ]
+
     def test_grid_with_an_overflowing_span(self, capsys):
         # hi - lo overflows; every grid point is still a finite value in [lo, hi]
         assert main(["sweep", str(SCENARIOS / "s0_observability.json"),

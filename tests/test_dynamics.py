@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,10 +35,13 @@ from wardgames import (
     payoff_tables,
     symmetric_scenario,
 )
+from wardgames import dynamics
+from wardgames.cli import load_scenario, main
 from wardgames.dynamics import _binomial_mean
 from wardgames.model import profile_string
 from conftest import random_scenario
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 X_STAR = (1.0 / 3.0) ** (1.0 / 3.0)
 
 
@@ -198,6 +203,108 @@ def assert_mean_within_bound(c, x):
     n = len(c)
     err = abs(Fraction(_binomial_mean(c)(x)) - exact)
     assert err <= 4 * n * Fraction(1, 2**52) * mag + n * Fraction(1, 2**1073), (n, x)
+
+
+def reference_binomial_mean(c, stops=None):
+    """The index-based walk that the pair walk replaced, kept as a bit-for-bit
+    oracle. Each early stop (a weight underflowing to 0) is appended to `stops`."""
+    m = len(c) - 1
+    log_comb, k = [], 1
+    for j in range(m + 1):
+        log_comb.append(math.log(k))
+        k = k * (m - j) // (j + 1)
+    up = [(m - j) / (j + 1) for j in range(m)]
+
+    def mean(x):
+        if not x > 0.0:
+            return c[0]
+        if x >= 1.0:
+            return c[m]
+        j0 = min(m, int((m + 1) * x))
+        w0 = math.exp(log_comb[j0] + j0 * math.log(x) + (m - j0) * math.log1p(-x))
+        total, w, r = w0 * c[j0], w0, x / (1.0 - x)
+        for j in range(j0, m):
+            w *= up[j] * r
+            if not w:
+                if stops is not None:
+                    stops.append((m, x))
+                break
+            total += w * c[j + 1]
+        w = w0
+        for j in range(j0 - 1, -1, -1):
+            w /= up[j] * r
+            if not w:
+                if stops is not None:
+                    stops.append((m, x))
+                break
+            total += w * c[j]
+        return total
+
+    return mean
+
+
+def reference_replicator(scenario, x0, t_end=50.0, dt=0.01):
+    """The RK4 loop that evaluates every step, through an `f` wrapper and a
+    min/max clamp, on the reference walk: (trajectory, fixed points, basins)."""
+    g = [e - b for e, b in zip(*dynamics._replicator_tables(scenario))]
+    gain = reference_binomial_mean(g)
+
+    def f(x):
+        return x * (1.0 - x) * gain(x)
+
+    traj = [(0.0, x0)]
+    x = x0
+    t = 0.0
+    while t < t_end - 1e-12:
+        h = min(dt, t_end - t)
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if not -1e-9 <= x <= 1.0 + 1e-9:
+            raise NumericalError(f"trajectory left [0, 1] at t={t + h} (x={x}); reduce dt")
+        x = min(1.0, max(0.0, x))
+        t = t + h
+        traj.append((t, x))
+    fixed, basins = dynamics._phase_portrait(g, gain)
+    return tuple(traj), tuple(fixed), tuple(basins)
+
+
+def assert_same_run(scenario, x0, **kwargs):
+    """integrate_replicator against reference_replicator, by repr."""
+    result = integrate_replicator(scenario, x0, **kwargs)
+    got = (result.trajectory, result.fixed_points, result.basins)
+    assert repr(got) == repr(reference_replicator(scenario, x0, **kwargs)), x0
+    return result
+
+
+def counting_gains(monkeypatch):
+    """Patch dynamics._binomial_mean so that every gain evaluation of the
+    functions it builds appends to the returned list."""
+    calls = []
+
+    def build(c):
+        mean = _binomial_mean(c)
+
+        def counted(x):
+            calls.append(x)
+            return mean(x)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_binomial_mean", build)
+    return calls
+
+
+def evaluated_steps(trajectory, t_end, dt):
+    """RK4 steps that must be evaluated: a step is free when the step before
+    it kept x under the same step size (the flow is autonomous)."""
+    hs = [min(dt, t_end - t) for t, _ in trajectory[:-1]]
+    xs = [x for _, x in trajectory]
+    return sum(
+        not (i and xs[i - 1] == xs[i] and hs[i - 1] == hs[i]) for i in range(len(hs))
+    )
 
 
 class TestBestResponseDynamics:
@@ -450,6 +557,21 @@ class TestBinomialMean:
         mean = _binomial_mean([3.0, -1.0, 5.0])
         assert (mean(0.0), mean(-1e-12), mean(1.0), mean(1.0 + 1e-12)) == (3.0, 3.0, 5.0, 5.0)
 
+    def test_pair_walk_matches_the_index_walk_bit_for_bit(self):
+        rng = random.Random(2000)
+        edges = (0.0, -0.0, 1.0, math.nan, 5e-324, 1e-300, 1.0 - 2.0**-53)
+        stops = []
+        for m in [*range(1, 41), 200, 1029]:
+            scale = 2.0 ** rng.randint(-60, 60)
+            c = [rng.uniform(-scale, scale) for _ in range(m + 1)]
+            mean, reference = _binomial_mean(c), reference_binomial_mean(c, stops)
+            # shares near the ends make the far weights underflow to exactly 0
+            shares = [rng.random() for _ in range(8)] + [rng.uniform(0.0, 1e-3),
+                                                         1.0 - rng.uniform(0.0, 1e-3)]
+            for x in (*edges, *shares):
+                assert repr(mean(x)) == repr(reference(x)), (m, x)
+        assert stops  # some walks ended early on an exact 0
+
 
 class TestReplicator:
     def test_veto_interior_fixed_point(self, v0):
@@ -563,6 +685,109 @@ class TestReplicator:
         # the RK4 stages overflow to inf and then NaN; NaN is not a share
         with pytest.raises(NumericalError, match="reduce dt"):
             integrate_replicator(gains_scenario(gains), 0.5, t_end=1e300, dt=1e300)
+
+
+# SHA-256 of the CSV plus stderr of `dynamics --replicator --initial X` on the
+# shipped scenarios, as written by the RK4 loop that evaluated every step.
+REPLICATOR_CLI_SHA256 = {
+    ("s0_baseline", "0.05"): "1bbd9c55f88a39ba789a48f6e51f0c7a191514bce704052b52971d7ecf37a810",
+    ("s0_baseline", "0.5"): "5a3f8dcb8fbe12780c612f0d09b7965cfa37116ba2de6a29b926611f5f067af1",
+    ("s0_baseline", "0.95"): "2d09b1f58e087957d97fd78d8528c59a43edf2c29241a312ca90ac792e52b11e",
+    ("s0_effort", "0.05"): "b21476091c922e0344da0078b55cf7f573d700d935778c359e45c24cfd11c6a9",
+    ("s0_effort", "0.5"): "5e6a348235f5e8a0ab05f672e11a98a8c973310f0d952bf2970ab75191fefa17",
+    ("s0_effort", "0.95"): "ba114c126e82d41c221cce8bc944b991db9bae256947a09d2dd5c57dcd7bf136",
+    ("s0_mechanism", "0.05"): "20882ac5742dd137905b13aed01ffc7b8b638bb22ee7c566e4b792a9b02c1ccd",
+    ("s0_mechanism", "0.5"): "6ea5c725bc6aa9e4d517390187f5f49c8d3d26859915aacf43a6bca099514088",
+    ("s0_mechanism", "0.95"): "1a2558335b03e185a371d69980934483c6e30558763a753d534229f0694c92c8",
+    ("s0_observability", "0.05"): "d87db587106f1ff506c4b2779fa59c437f4eae685d10a9341a23d9d353afef9c",
+    ("s0_observability", "0.5"): "d2eceb24f268a55b35c6b2454e791abddfe5337bee61d96d5b038fe4c37b51c2",
+    ("s0_observability", "0.95"): "8051e84496be5c59aba5be53fb05eb85eb027adf11555b06ab72bebacc474d58",
+    ("v0_veto", "0.05"): "168a77be007c8ee49a5c9a4d13f29ed661529b08937b51db5738aeb9ada18e4e",
+    ("v0_veto", "0.5"): "710ba1113e53e9be80f01c74f5391e90ea25be5dc6135b7f1c928dca21d8f315",
+    ("v0_veto", "0.95"): "9f73382821e1fb3b6d61b5f089ece63e62c60ebe0ed8430301eb123c1086f771",
+}
+
+
+class TestReplicatorBitIdentity:
+    """integrate_replicator against the loop that evaluates every step, by repr,
+    and the gain evaluations that skipping stationary steps saves."""
+
+    def test_random_scenarios_match_the_reference(self, monkeypatch):
+        rng = random.Random(4021)
+        calls = counting_gains(monkeypatch)
+        interior = 0
+        for _ in range(24):
+            s = random_scenario(rng, max_n=40, symmetric=True, with_interventions=True)
+            calls.clear()
+            fixed = integrate_replicator(s, 0.5, t_end=0.0).fixed_points
+            portrait_calls = len(calls)
+            interior += len(fixed) - 2
+            for x0 in (0.0, -0.0, 1.0, rng.random(), *[fp.x for fp in fixed[1:-1]]):
+                calls.clear()
+                # 20 steps of 0.05, then one of 0.013
+                result = assert_same_run(s, x0, t_end=1.013, dt=0.05)
+                steps = evaluated_steps(result.trajectory, 1.013, 0.05)
+                assert len(calls) <= 4 * steps + portrait_calls
+        assert interior  # some runs start at an interior fixed point
+
+    def test_all_zero_gains_cost_two_steps(self, monkeypatch):
+        s = load_scenario(SCENARIOS / "s0_observability.json")
+        assert set(count_gains(s)) == {0.0}
+        calls = counting_gains(monkeypatch)
+        result = assert_same_run(s, 0.5)
+        assert len(result.trajectory) == 5002
+        # the first step and the short last one; the portrait needs no gain here
+        assert len(calls) == 8
+
+    def test_a_run_that_stops_changing_below_one(self, monkeypatch):
+        s = gains_scenario([4.0, 4.0])
+        calls = counting_gains(monkeypatch)
+        integrate_replicator(s, 0.5, t_end=0.0)
+        portrait_calls = len(calls)
+        calls.clear()
+        result = assert_same_run(s, 0.5)
+        traj = result.trajectory
+        still = next(i for i in range(len(traj) - 1) if traj[i][1] == traj[i + 1][1])
+        assert still < 1000 and 0.0 < 1.0 - traj[-1][1] < 1e-14
+        # 5000 steps of 0.01 stop short of 50, so a last step of ~1.4e-12 follows
+        assert traj[-2][0] == 49.99999999999862 and traj[-1][0] == 50.0
+        steps = evaluated_steps(traj, 50.0, 0.01)
+        assert steps == still + 2
+        assert len(calls) <= 4 * steps + portrait_calls
+
+    def test_the_short_last_step_is_evaluated(self, monkeypatch):
+        # z^3 + 4 z^2 + 12 z + 24 = 0 at z = -2.78529...: there RK4's step factor
+        # for x' = -lambda (x - x*) is exactly 1, so with lambda dt on it a full step
+        # leaves x in place, while the shorter last step moves x towards x* = 1/2
+        z, dt = 2.785293563405282, 0.01
+        s = gains_scenario([2.0 * z / dt, -2.0 * z / dt], cost=0.0)  # lambda = g_0 / 2
+        calls = counting_gains(monkeypatch)
+        integrate_replicator(s, 0.5, t_end=0.0)
+        portrait_calls = len(calls)
+        calls.clear()
+        result = assert_same_run(s, 0.500000010899738, t_end=0.105, dt=dt)
+        xs = [x for _, x in result.trajectory]
+        assert len(set(xs[:-1])) == 1 and abs(xs[-1] - 0.5) < abs(xs[0] - 0.5)
+        # so the key of a stationary step holds h as well as x
+        assert len(calls) == 8 + portrait_calls
+
+    @pytest.mark.parametrize("gain, x0, end", [(1.0, 0.1, 1.0), (-1.0, 0.9, 0.0)])
+    def test_a_step_just_past_an_end_is_clamped(self, gain, x0, end):
+        # a step of this size (found by bisection) lands 5.6e-10 outside [0, 1]
+        h = 6.210792652054698
+        result = assert_same_run(gains_scenario([gain, gain]), x0, t_end=3 * h, dt=h)
+        assert [x for _, x in result.trajectory] == [x0, end, end, end]
+
+    @pytest.mark.parametrize("name, initial", sorted(REPLICATOR_CLI_SHA256))
+    def test_cli_output_is_pinned(self, name, initial, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        argv = ["dynamics", str(SCENARIOS / f"{name}.json"), "--replicator",
+                "--initial", initial, "--out", str(out)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        digest = hashlib.sha256(out.read_bytes() + captured.err.encode()).hexdigest()
+        assert digest == REPLICATOR_CLI_SHA256[name, initial]
 
 
 class TestPhasePortrait:
