@@ -545,7 +545,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def margin_chart_svg(title: str, values: list[float], margins: list[list[float]]) -> str:
     """Line chart of per-ward flip margins against the swept parameter."""
-    n_wards = len(margins[0]) if margins else 0
     xs = values
     ys = [m for row in margins for m in row]
     x_lo, x_hi = min(xs), max(xs)
@@ -590,8 +589,12 @@ def margin_chart_svg(title: str, values: list[float], margins: list[list[float]]
             f'<text x="{_SVG_PAD - 6:.2f}" y="{py(y)}" text-anchor="end" '
             f'font-family="monospace" font-size="11">{label}</text>'
         )
-    for w in range(n_wards):
-        pts = " ".join(f"{px(x)},{py(row[w])}" for x, row in zip(xs, margins))
+    x_px = [px(x) for x in xs]
+    lines: dict[tuple[float, ...], str] = {}  # wards with equal margins share one
+    for w, column in enumerate(zip(*margins)):
+        pts = lines.get(column)
+        if pts is None:
+            pts = lines[column] = " ".join(f"{x},{py(y)}" for x, y in zip(x_px, column))
         color = _PALETTE[w % len(_PALETTE)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 from .errors import NumericalError, ResourceLimitError, ScenarioError
 from .interventions import (
     PayoffTables,
+    _cost_fields,
     _cost_rule,
     _payoff,
     _ward_costs,
@@ -434,8 +435,7 @@ def flip_conditions(scenario: Scenario, epsilon: float = 0.0) -> FlipReport:
     no_penalty = (0.0,) * n
 
     def isolated(rule: tuple, penalty: tuple[float, ...]) -> PayoffTables:
-        ce, cb = zip(*(_ward_costs(scenario, i, rule) for i in range(n)))
-        return replace(t_full, penalty=penalty, cost_expose=ce, cost_buffer=cb)
+        return replace(t_full, penalty=penalty, **_cost_fields(scenario, rule))
 
     t_base = isolated((None, 0.0, 0.0), no_penalty)
     t_effort = isolated((None, d_e, d_b), no_penalty)

@@ -257,20 +257,36 @@ class PayoffTables:
         )
 
 
-def payoff_tables(scenario: Scenario) -> PayoffTables:
-    """Compile the scenario's effective payoffs in O(N) time and memory."""
+def _benefit_fields(scenario: Scenario) -> dict:
+    """The compiled benefit vector, B(k) for k = 0..N."""
     n = scenario.n
-    rule = _cost_rule(scenario)
-    costs = [_ward_costs(scenario, i, rule) for i in range(n)]
+    return {"benefit": tuple(benefit_at_count(scenario.benefit, k, n) for k in range(n + 1))}
+
+
+def _penalty_fields(scenario: Scenario) -> dict:
+    """The compiled penalty vector: buffering_penalty at k_others = 0..N-1,
+    from the same terms summed in the same order."""
+    n, penalty = scenario.n, [0.0] * scenario.n
+    for iv in scenario.interventions:
+        if isinstance(iv, Observability) and iv.penalty != 0.0:
+            for j in range(n):
+                penalty[j] += detection_probability(iv, j, n) * iv.penalty
+    return {"penalty": tuple(penalty)}
+
+
+def _cost_fields(scenario: Scenario, rule: tuple | None = None) -> dict:
+    """Each ward's effective costs under a `_cost_rule` (the scenario's own by
+    default), and its charge when the rule's mechanism redistributes."""
+    rule = _cost_rule(scenario) if rule is None else rule
+    ce, cb = zip(*(_ward_costs(scenario, i, rule) for i in range(scenario.n)))
     mech = rule[0]
     charge = None
     if mech is not None and mech.mode is MechanismMode.REDISTRIBUTE:
         charge = tuple(w.cost_expose - _cap(mech, w.id) for w in scenario.wards)
-    return PayoffTables(
-        n=n,
-        benefit=tuple(benefit_at_count(scenario.benefit, k, n) for k in range(n + 1)),
-        penalty=tuple(buffering_penalty(scenario, j) for j in range(n)),
-        cost_expose=tuple(ce for ce, _ in costs),
-        cost_buffer=tuple(cb for _, cb in costs),
-        charge=charge,
-    )
+    return {"cost_expose": ce, "cost_buffer": cb, "charge": charge}
+
+
+def payoff_tables(scenario: Scenario) -> PayoffTables:
+    """Compile the scenario's effective payoffs in O(N) time and memory."""
+    return PayoffTables(n=scenario.n, **_benefit_fields(scenario),
+                        **_penalty_fields(scenario), **_cost_fields(scenario))

@@ -17,7 +17,8 @@ from typing import Any, Callable
 from .errors import BracketError, ScenarioError
 from .equilibrium import _analyse
 from .equilibrium import is_nash  # noqa: F401  perfbench's tracer test looks it up here
-from .interventions import PayoffTables, payoff_tables
+from .interventions import (Observability, PayoffTables, _benefit_fields, _cost_fields,
+                            _penalty_fields, payoff_tables)
 from .model import Scenario, profile_string
 
 OBSERVABLES = ("nash_set", "classification", "welfare_gap", "flip_margins")
@@ -118,13 +119,8 @@ def get_by_path(scenario: Scenario, path: str) -> float:
     return _resolve(scenario, path)[1]
 
 
-def set_by_path(scenario: Scenario, path: str, value: float) -> Scenario:
-    """Return a new scenario with the addressed field replaced.
-
-    Integer fields (e.g. a threshold tau) only accept whole values. Every
-    object on the path is rebuilt with `replace`, so its checks run again.
-    """
-    steps, leaf = _resolve(scenario, path)
+def _rebuild(steps: list, leaf: Any, path: str, value: float) -> Scenario:
+    """set_by_path on what _resolve found for the path."""
     new: Any = float(value)
     if isinstance(leaf, int):
         if not new.is_integer():
@@ -143,6 +139,36 @@ def set_by_path(scenario: Scenario, path: str, value: float) -> Scenario:
     return new
 
 
+def set_by_path(scenario: Scenario, path: str, value: float) -> Scenario:
+    """Return a new scenario with the addressed field replaced.
+
+    Integer fields (e.g. a threshold tau) only accept whole values. Every
+    object on the path is rebuilt with `replace`, so its checks run again.
+    """
+    return _rebuild(*_resolve(scenario, path), path, value)
+
+
+def _patcher(scenario: Scenario, path: str) -> tuple[Callable, bool]:
+    """set_by_path with the payoff tables of each value, and whether the path
+    names an integer field. The first value compiles its game; each later one
+    rebuilds only the part its field enters: the benefit vector (benefit.*),
+    the penalty vector (an Observability) or the costs and charge (a ward, an
+    EffortReduction or a Mechanism)."""
+    steps, leaf = _resolve(scenario, path)
+    # a numeric leaf lies at least two segments deep, so steps[1] exists
+    build = (_benefit_fields if steps[0][1] == "benefit" else
+             _penalty_fields if isinstance(steps[1][0], Observability) else _cost_fields)
+    tables: PayoffTables | None = None
+
+    def at(value: float) -> tuple[Scenario, PayoffTables]:
+        nonlocal tables
+        s = _rebuild(steps, leaf, path, value)
+        tables = payoff_tables(s) if tables is None else replace(tables, **build(s))
+        return s, tables
+
+    return at, isinstance(leaf, int)
+
+
 def sweep_parameter(
     scenario: Scenario,
     spec: SweepSpec,
@@ -150,20 +176,30 @@ def sweep_parameter(
 ) -> list[dict[str, Any]]:
     """Evaluate the requested observables at every grid value.
 
-    Rows are ordered by value and fully recomputed per point, from one
-    compile of that point's payoff tables. Only nash_set builds the Nash
-    profile list, so only it is subject to the 4M-profile cap.
+    Rows are ordered by value. The game is compiled once, and each point
+    rebuilds only the part of it that the swept field enters. A fraction on
+    an integer field is refused before any point is analysed. Only nash_set
+    builds the Nash profile list, so only it is subject to the 4M-profile cap.
     """
     observables = set(spec.observables)
+    at, integer = _patcher(scenario, spec.parameter_path)
+    grid = spec.grid()
+    off = next((v for v in grid if integer and not v.is_integer()), None)
+    if off is not None:
+        raise ScenarioError(f"parameter path {spec.parameter_path!r} names an integer "
+                            f"field, but the grid of {len(grid)} points includes {off}")
     rows = []
-    for value in spec.grid():
-        s = set_by_path(scenario, spec.parameter_path, value)
-        tables = payoff_tables(s)
+    plan = names = None
+    for value in grid:
+        s, tables = at(value)
         row: dict[str, Any] = {"value": value}
         if NASH_OBSERVABLES & observables:
             report = _analyse(s, tables, epsilon, oracle=False)
             if "nash_set" in observables:
-                row["nash_set"] = [profile_string(m, s.n) for m, _ in report.nash_masks]
+                if report.nash_plan != plan:  # an equal plan lists the same profiles
+                    plan, names = report.nash_plan, [
+                        profile_string(m, s.n) for m, _ in report.nash_masks]
+                row["nash_set"] = list(names)
             if "classification" in observables:
                 row["classification"] = report.classification.value
             if "welfare_gap" in observables:
@@ -245,13 +281,9 @@ def critical_threshold(
         raise ScenarioError(f"need lo < hi, got lo={lo}, hi={hi}")
     key = normalize_predicate(predicate)
     pred = PREDICATES[key]
-    integer = isinstance(_resolve(scenario, parameter_path)[1], int)
+    at, integer = _patcher(scenario, parameter_path)
     to_key, from_key = (int, float) if integer else (_float_key, _key_float)
-
-    def tables_at(value: float) -> PayoffTables:
-        return payoff_tables(set_by_path(scenario, parameter_path, value))
-
-    t_lo, t_hi = tables_at(lo), tables_at(hi)
+    t_lo, t_hi = at(lo)[1], at(hi)[1]
     p_lo, p_hi = pred(t_lo, epsilon), pred(t_hi, epsilon)
     if p_lo == p_hi:
         raise BracketError(
@@ -274,7 +306,7 @@ def critical_threshold(
         """Evaluate at k inside the bracket; True when k becomes its lower end."""
         nonlocal a, b, iterations
         iterations += 1
-        below = pred(tables_at(from_key(k)), epsilon) == p_lo
+        below = pred(at(from_key(k))[1], epsilon) == p_lo
         a, b = (k, b) if below else (a, k)
         return below
 

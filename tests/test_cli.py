@@ -1009,6 +1009,97 @@ class TestReport:
         assert bundles[0] == bundles[1]
 
 
+def reference_margin_chart_svg(title, values, margins):
+    """margin_chart_svg as it was before it drew each distinct column once:
+    every x and every ward's points formatted afresh."""
+    W, H, PAD, palette = cli._SVG_W, cli._SVG_H, cli._SVG_PAD, cli._PALETTE
+    n_wards = len(margins[0]) if margins else 0
+    xs = values
+    ys = [m for row in margins for m in row]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys + [0.0]), max(ys + [0.0])
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+
+    def px(x):
+        return f"{PAD + (x - x_lo) / (x_hi - x_lo) * (W - 2 * PAD):.2f}"
+
+    def py(y):
+        return f"{H - PAD - (y - y_lo) / (y_hi - y_lo) * (H - 2 * PAD):.2f}"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+        f'viewBox="0 0 {W} {H}">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+        f'<text x="{W / 2:.2f}" y="20" text-anchor="middle" '
+        f'font-family="monospace" font-size="13">{title}</text>',
+        f'<line x1="{px(x_lo)}" y1="{py(y_lo)}" x2="{px(x_hi)}" y2="{py(y_lo)}" '
+        'stroke="black" stroke-width="1"/>'
+        f'<line x1="{px(x_lo)}" y1="{py(y_lo)}" x2="{px(x_lo)}" y2="{py(y_hi)}" '
+        'stroke="black" stroke-width="1"/>',
+    ]
+    if y_lo < 0.0 < y_hi:
+        parts.append(
+            f'<line x1="{px(x_lo)}" y1="{py(0.0)}" x2="{px(x_hi)}" y2="{py(0.0)}" '
+            'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
+        )
+    for label, x in ((f"{x_lo:.6g}", x_lo), (f"{x_hi:.6g}", x_hi)):
+        parts.append(
+            f'<text x="{px(x)}" y="{H - PAD + 18:.2f}" text-anchor="middle" '
+            f'font-family="monospace" font-size="11">{label}</text>'
+        )
+    for label, y in ((f"{y_lo:.6g}", y_lo), (f"{y_hi:.6g}", y_hi)):
+        parts.append(
+            f'<text x="{PAD - 6:.2f}" y="{py(y)}" text-anchor="end" '
+            f'font-family="monospace" font-size="11">{label}</text>'
+        )
+    for w in range(n_wards):
+        pts = " ".join(f"{px(x)},{py(row[w])}" for x, row in zip(xs, margins))
+        color = palette[w % len(palette)]
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+        parts.append(
+            f'<text x="{W - PAD + 4:.2f}" y="{py(margins[-1][w])}" '
+            f'font-family="monospace" font-size="10" fill="{color}">w{w}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+class TestMarginChart:
+    """margin_chart_svg writes the reference's bytes."""
+
+    def test_equals_the_reference(self):
+        rng = random.Random(23)
+        values = [0.1 * i for i in range(21)]
+        ramp = [[x - 0.7, 0.5 * x - 0.7, -0.0 * x, 0.0] for x in values]
+        cases = [
+            ([0.0, 1.0], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),  # all-zero margins
+            ([2.0], [[-0.5, -0.5]]),  # one point
+            (values, [[x - 1.0] * 9 for x in values]),  # symmetric: one column
+            (values, ramp),  # 0.0 and -0.0 columns share a line
+        ]
+        for n in (3, 8, 10):  # asymmetric, some wards equal, palette wraps at 8+
+            cols = [[rng.uniform(-2.0, 2.0) for _ in values] for _ in range(n)]
+            cols[n - 1] = cols[0]
+            cases.append((values, [list(row) for row in zip(*cols)]))
+        for scenario in ("s0_observability", "s0_effort", "s0_mechanism"):
+            s = load_scenario(SCENARIOS / f"{scenario}.json")
+            s = replace(s, wards=tuple(replace(w, cost_expose=w.cost_expose + 0.1 * w.id)
+                                       for w in s.wards))
+            path = cli._canonical_sweeps(s)[0][2]
+            spec = SweepSpec(parameter_path=path, lo=0.0, hi=3.0, steps=21,
+                             observables=("flip_margins",))
+            rows = sweep_parameter(s, spec)
+            cases.append(([r["value"] for r in rows], [r["flip_margins"] for r in rows]))
+        for values, margins in cases:
+            assert cli.margin_chart_svg("t: margin vs p", values, margins) == (
+                reference_margin_chart_svg("t: margin vs p", values, margins))
+
+
 class TestGoldens:
     @pytest.mark.parametrize(
         "stem",

@@ -33,6 +33,8 @@ from wardgames import (
     symmetric_scenario,
     welfare,
 )
+from wardgames.interventions import buffering_penalty
+
 from conftest import random_scenario, repeated_costs_scenario
 
 
@@ -264,6 +266,19 @@ class TestComposition:
                         expected = tables.buffer(i, k)
                     assert effective_payoff(s, p, i) == expected
                     assert str(effective_payoff(s, p, i)) == str(expected)
+
+    def test_penalty_vector_is_buffering_penalty(self):
+        # several penalties sum in list order, so each entry is the oracle's float
+        rng = random.Random(37)
+        for _ in range(60):
+            s = random_scenario(rng, with_interventions=True)
+            extra = tuple(
+                Observability(rng.uniform(0.0, 1.0), rng.uniform(-3.0, 3.0),
+                              rng.choice((0.0, rng.uniform(0.0, 5.0))))
+                for _ in range(rng.randint(1, 4)))
+            s = dataclasses.replace(s, interventions=s.interventions + extra)
+            expected = tuple(buffering_penalty(s, j) for j in range(s.n))
+            assert repr(payoff_tables(s).penalty) == repr(expected)
 
     def test_signed_zero_costs_keep_their_sign(self):
         # 0.0 == -0.0, but they round apart: every entry keeps its own sign

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import struct
 import time
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +37,8 @@ from wardgames import (
 )
 from wardgames.equilibrium import _analyse
 from wardgames.interventions import payoff_tables
-from wardgames.sweep import MAX_GRID_POINTS, PREDICATES
+from wardgames.model import profile_string
+from wardgames.sweep import MAX_GRID_POINTS, NASH_OBSERVABLES, OBSERVABLES, PREDICATES
 
 from conftest import (
     interchangeable_edge_scenarios,
@@ -263,6 +266,210 @@ class TestSweepWelfareFromTheSearch:
                 MechanismMode.REDISTRIBUTE} <= kinds
 
 
+def reference_sweep_parameter(scenario, spec, epsilon=0.0):
+    """sweep_parameter as it was before the game was patched per point: a
+    set_by_path and a full compile at every grid value, and a fresh Nash set
+    list per row."""
+    observables = set(spec.observables)
+    rows = []
+    for value in spec.grid():
+        s = set_by_path(scenario, spec.parameter_path, value)
+        tables = payoff_tables(s)
+        row = {"value": value}
+        if NASH_OBSERVABLES & observables:
+            report = _analyse(s, tables, epsilon, oracle=False)
+            if "nash_set" in observables:
+                row["nash_set"] = [profile_string(m, s.n) for m, _ in report.nash_masks]
+            if "classification" in observables:
+                row["classification"] = report.classification.value
+            if "welfare_gap" in observables:
+                row["welfare_gap"] = report.welfare_gap
+        if "flip_margins" in observables:
+            row["flip_margins"] = [tables.gain_to_expose(i, 0) for i in range(s.n)]
+        rows.append(row)
+    return rows
+
+
+def oracle_patcher(scenario, path):
+    """_patcher's contract from set_by_path and a full compile per value."""
+    def at(value):
+        point = set_by_path(scenario, path, value)
+        return point, payoff_tables(point)
+
+    return at, isinstance(get_by_path(scenario, path), int)
+
+
+def numeric_paths(obj, prefix=""):
+    """Every path to a numeric field below obj, ward ids left out."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        items = ([(f"{prefix}{f.name}[{i}]", v) for i, v in enumerate(value)]
+                 if isinstance(value, tuple) else [(prefix + f.name, value)])
+        for path, v in items:
+            if is_dataclass(v):
+                yield from numeric_paths(v, path + ".")
+            elif isinstance(v, (int, float)) and not isinstance(v, bool) and f.name != "id":
+                yield path
+
+
+def path_values(rng: random.Random, s: Scenario, path: str) -> tuple[float, ...]:
+    """Four valid values for the field at path, drawn around its range."""
+    field = path.rsplit(".", 1)[-1].split("[")[0]
+    if field == "tau":
+        return tuple(float(rng.randint(1, s.n)) for _ in range(4))
+    lo, hi = {"p0": (0.0, 1.0), "gamma": (0.05, 1.0), "p_slope": (-2.0, 2.0),
+              "values": (-1.0, 3.0)}.get(field, (0.0, 2.0 * get_by_path(s, path) + 1.0))
+    return tuple(rng.uniform(lo, hi) for _ in range(4))
+
+
+class TestPatchedTables:
+    """Every grid point and threshold step compiles only the part of the game
+    its path changes; the tables must equal a full compile of set_by_path."""
+
+    @staticmethod
+    def scenarios():
+        rng = random.Random(2027)
+        for trial in range(24):
+            if trial % 4 == 3:
+                s = repeated_costs_scenario(rng, with_interventions=True)
+            else:
+                s = random_scenario(rng, symmetric=trial % 2 == 0, with_interventions=True)
+            if trial % 3 == 0:  # both mechanism modes, scalar and per-ward caps
+                caps = tuple(rng.uniform(0.0, 2.0) for _ in range(s.n))
+                mech = Mechanism(caps if trial % 2 else caps[0], list(MechanismMode)[trial % 2])
+                s = replace(s, interventions=s.interventions + (mech,))
+            yield rng, s
+        for s in interchangeable_edge_scenarios():
+            yield rng, s
+
+    def test_patched_tables_equal_a_full_compile(self, monkeypatch):
+        import wardgames.sweep as sweep
+
+        patcher, checked = sweep._patcher, []
+
+        def checking(scenario, path):
+            at, integer = patcher(scenario, path)
+            ref_at, ref_integer = oracle_patcher(scenario, path)
+            assert integer == ref_integer
+
+            def both(value):
+                ref = ref_at(value)
+                got = at(value)
+                assert repr(got) == repr(ref), (scenario, path, value)
+                checked.append(path.rsplit(".", 1)[-1].split("[")[0])
+                return got
+
+            return both, integer
+
+        monkeypatch.setattr(sweep, "_patcher", checking)
+        kinds = set()
+        for rng, s in self.scenarios():
+            kinds.update(type(iv).__name__ for iv in s.interventions)
+            kinds.update(iv.mode for iv in s.interventions if isinstance(iv, Mechanism))
+            kinds.update(isinstance(iv.capped_cost_expose, tuple)
+                         for iv in s.interventions if isinstance(iv, Mechanism))
+            kinds.add(type(s.benefit).__name__)
+            for path in numeric_paths(s):
+                values = path_values(rng, s, path)
+                spec = SweepSpec(parameter_path=path, values=values,
+                                 observables=("classification", "flip_margins"))
+                assert repr(sweep_parameter(s, spec)) == repr(
+                    reference_sweep_parameter(s, spec))
+                lo, hi = min(values), max(values)
+                if lo < hi:
+                    try:
+                        critical_threshold(s, path, lo, hi, rng.choice(PREDICATE_NAMES))
+                    except BracketError:
+                        pass
+        assert {"EffortReduction", "Observability", "Mechanism", MechanismMode.ABSORB,
+                MechanismMode.REDISTRIBUTE, True, False, "LinearBenefit",
+                "ThresholdBenefit", "ConcaveBenefit", "TableBenefit"} <= kinds
+        assert {"cost_expose", "cost_buffer", "beta_per_exposer", "tau", "beta", "gamma",
+                "values", "delta_expose", "delta_buffer", "p0", "p_slope", "penalty",
+                "capped_cost_expose"} <= set(checked)
+
+    @pytest.mark.parametrize("path, bad", [
+        ("interventions[0].penalty", -1.0),
+        ("interventions[0].p0", 1.5),
+        ("interventions[1].delta_buffer", -0.5),
+        ("interventions[2].capped_cost_expose[1]", -2.0),
+        ("wards[2].cost_buffer", math.inf),
+        ("benefit.tau", 5.0),
+        ("benefit.tau", 2.5),
+    ])
+    def test_a_bad_value_raises_what_set_by_path_raises(self, path, bad):
+        from wardgames.sweep import _patcher
+
+        s = symmetric_scenario(4, 2.0, 1.0, ThresholdBenefit(tau=2, beta=3.0), [
+            Observability(0.5, 0.0, 1.0), EffortReduction(0.1, 0.1),
+            Mechanism((1.0, 1.0, 1.0, 1.0), MechanismMode.REDISTRIBUTE)])
+        with pytest.raises(ScenarioError) as expected:
+            set_by_path(s, path, bad)
+        at, _ = _patcher(s, path)
+        for _ in range(2):  # before and after the first compile
+            with pytest.raises(ScenarioError) as got:
+                at(bad)
+            assert str(got.value) == str(expected.value)
+            at(get_by_path(s, path))
+        if path == "benefit.tau" and not bad.is_integer():
+            return  # a sweep refuses this grid up front
+        spec = SweepSpec(parameter_path=path, values=(get_by_path(s, path), bad))
+        with pytest.raises(ScenarioError) as got:
+            sweep_parameter(s, spec)
+        assert str(got.value) == str(expected.value)
+
+
+class TestSweepRowsAsBefore:
+    """sweep_parameter returns the rows of the full-compile reference."""
+
+    def test_rows_equal_the_reference(self):
+        rng = random.Random(59)
+        nash_sets = 0
+        for trial in range(40):
+            if trial % 4 == 3:
+                s = repeated_costs_scenario(rng, with_interventions=True)
+            else:
+                s = random_scenario(rng, symmetric=trial % 2 == 0, with_interventions=True)
+            path, lo, hi = swept_path(s)
+            observables = (OBSERVABLES, ("nash_set",))[trial % 2]
+            epsilon = (0.0, 0.25)[trial % 3 == 1]
+            spec = SweepSpec(parameter_path=path, lo=lo, hi=hi, steps=21,
+                             observables=observables)
+            rows = sweep_parameter(s, spec, epsilon=epsilon)
+            assert repr(rows) == repr(reference_sweep_parameter(s, spec, epsilon))
+            lists = [id(row["nash_set"]) for row in rows]
+            assert len(set(lists)) == len(rows)
+            nash_sets += sum(a["nash_set"] == b["nash_set"] for a, b in zip(rows, rows[1:]))
+        assert nash_sets > 100  # most points repeat the previous Nash set
+
+    def test_rows_of_interchangeable_edge_scenarios(self):
+        for s in interchangeable_edge_scenarios():
+            for path in numeric_paths(s):
+                value = get_by_path(s, path)
+                spec = SweepSpec(parameter_path=path, values=(value, value, value / 2 + 0.5))
+                assert repr(sweep_parameter(s, spec)) == repr(
+                    reference_sweep_parameter(s, spec))
+
+    def test_an_integer_grid_is_refused_before_any_point(self, monkeypatch):
+        import wardgames.sweep as sweep
+        from wardgames.cli import load_scenario
+
+        s = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "v0_veto.json")
+        analysed = []
+        monkeypatch.setattr(sweep, "_analyse", lambda *a, **k: analysed.append(a))
+        message = ("parameter path 'benefit.tau' names an integer field, but the grid "
+                   "of 3 points includes 2.5")
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            sweep_parameter(s, SweepSpec("benefit.tau", lo=1, hi=4, steps=3))
+        with pytest.raises(ScenarioError, match=re.escape(
+                "names an integer field, but the grid of 2 points includes 3.5")):
+            sweep_parameter(s, SweepSpec("benefit.tau", values=(1.0, 3.5)))
+        assert analysed == []
+        monkeypatch.undo()
+        rows = sweep_parameter(s, SweepSpec("benefit.tau", lo=1, hi=4, steps=4))
+        assert [row["value"] for row in rows] == [1.0, 2.0, 3.0, 4.0]
+
+
 def first_k_oracle(s: Scenario) -> tuple[str, float | None, int]:
     """Classification, welfare gap and Nash count of a symmetric scenario from
     is_nash and welfare on the profile whose first k wards expose, per k."""
@@ -331,7 +538,7 @@ class TestNashSetsOfAnySize:
         monkeypatch.setattr(ActionProfile, "__post_init__", counting_post_init)
         rows = sweep_parameter(s, spec)
         monkeypatch.undo()
-        assert len(compiles) == 21
+        assert len(compiles) == 1
         assert len(built) <= 2 * 21
         assert all(len(row["nash_set"]) == 3433 for row in rows)
         for row in rows[::10]:
@@ -546,10 +753,18 @@ class TestCriticalThreshold:
                 s, "interventions[0].capped_cost_expose", 0.0, 2.0, "all_expose_nash"
             )
 
-    def test_equals_plain_bisection_on_random_scenarios(self):
+    def test_equals_plain_bisection_on_random_scenarios(self, monkeypatch):
         # Canonical paths and ward costs enter every pole margin monotonically,
         # so the flip is unique and the hinted search must find the pair a
-        # hint-free bisection finds.
+        # hint-free bisection finds. With a full compile per step in place of
+        # the patched tables, the search must return the same result.
+        import wardgames.sweep as sweep
+
+        def compiling_every_step(*args):
+            with monkeypatch.context() as m:
+                m.setattr(sweep, "_patcher", oracle_patcher)
+                return critical_threshold(*args)
+
         rng = random.Random(131)
         found = 0
         for trial in range(240):
@@ -566,8 +781,32 @@ class TestCriticalThreshold:
             result = critical_threshold(s, path, lo, hi, predicate, epsilon)
             assert result.bracket == expected, (s, path, predicate, epsilon)
             assert_certified(s, path, lo, hi, predicate, result, epsilon)
+            reference = compiling_every_step(s, path, lo, hi, predicate, epsilon)
+            assert repr(result) == repr(reference)
             found += 1
         assert found > 100
+
+    def test_one_threshold_compiles_once(self, monkeypatch):
+        import wardgames.sweep as sweep
+
+        compiles = []
+
+        def counting(scenario):
+            compiles.append(scenario)
+            return payoff_tables(scenario)
+
+        monkeypatch.setattr(sweep, "payoff_tables", counting)
+        s = replace(obs_scenario(penalty=0.0), interventions=(
+            Observability(0.5, 0.0, 0.0), EffortReduction(0.0, 0.0), Mechanism(2.0)))
+        for path, hi, predicate in (
+                ("interventions[0].penalty", 5.0, "all_buffer_not_nash"),
+                ("interventions[1].delta_expose", 4.0, "all_buffer_not_nash"),
+                ("interventions[2].capped_cost_expose", 2.0, "all_expose_not_nash"),
+                ("wards[1].cost_buffer", 4.0, "all_buffer_not_nash"),
+                ("benefit.beta_per_exposer", 3.0, "all_buffer_not_nash")):
+            compiles.clear()
+            result = critical_threshold(s, path, 0.0, hi, predicate)
+            assert result.iterations > 0 and len(compiles) == 1, path
 
     @pytest.mark.parametrize("trial", range(6))
     def test_certified_where_the_hint_is_poor(self, trial):
