@@ -87,6 +87,12 @@ MAX_NASH_WARDS = 4096
 # any move: each CSV row holds an N-letter profile, so 10^8 is ~100 MB of CSV.
 MAX_TRACE_CELLS = 10**8
 
+# Larger n_wards x steps is refused by a flip_margins sweep before any point,
+# even one that skips MAX_NASH_WARDS: each margin is a float in the rows and
+# ~20 bytes of CSV; 10^6 margins peaked at ~110 MB RSS and took 1.6 s (2-core
+# x86-64 host, Python 3.11).
+MAX_MARGIN_CELLS = 10**7
+
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -706,6 +712,8 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario, options, _ = _load_with_diagnostics(args.scenario)
     epsilon = _setting(args, options, "epsilon", _nonnegative)[0]
+    _require(math.isfinite(args.lo) and math.isfinite(args.hi), "--lo/--hi",
+             f"need finite bounds, got lo={args.lo}, hi={args.hi}")
     _require(args.lo < args.hi, "--lo/--hi", f"need lo < hi, got lo={args.lo}, hi={args.hi}")
     if args.critical:
         if not args.predicate:
@@ -735,6 +743,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if NASH_OBSERVABLES & set(observables):
         _require_nash_size(scenario)
+    if "flip_margins" in observables:
+        _require(scenario.n * args.steps <= MAX_MARGIN_CELLS, "--steps",
+                 f"{scenario.n} wards x {args.steps} grid points exceed "
+                 f"{MAX_MARGIN_CELLS} flip-margin cells")
     if isinstance(get_by_path(scenario, args.path), int):  # such as benefit.tau
         _require(args.lo.is_integer() and args.hi.is_integer(), "--lo/--hi",
                  f"{args.path!r} names an integer field; got lo={args.lo}, hi={args.hi}")

@@ -195,8 +195,8 @@ def expected_payoffs_by_strategy(scenario: Scenario, x: float) -> tuple[float, f
     """Population-level (u_E, u_B) when each opponent exposes w.p. x.
 
     Opponent exposer counts are Binomial(N-1, x); payoffs are the effective
-    (post-intervention) ones. Requires wards with identical effective costs,
-    at most MAX_REPLICATOR_WARDS of them (the phase portrait's limit).
+    (post-intervention) ones. Requires one class of bit-identical effective
+    costs and at most MAX_REPLICATOR_WARDS wards (the portrait's limit).
     """
     expose, buffer = _replicator_tables(scenario)
     if not 0.0 <= x <= 1.0:
@@ -205,10 +205,10 @@ def expected_payoffs_by_strategy(scenario: Scenario, x: float) -> tuple[float, f
 
 
 def _replicator_tables(scenario: Scenario) -> Rows:
-    """Ward 0's expose and buffer payoffs per count of exposing others, for
-    identical effective costs and N up to the portrait's MAX_REPLICATOR_WARDS."""
+    """Ward 0's expose and buffer payoffs per count of exposing others, for one
+    class of wards (charges may differ) and N up to MAX_REPLICATOR_WARDS."""
     tables = payoff_tables(scenario)
-    if not tables.symmetric:
+    if len(tables.classes) != 1:
         raise ScenarioError(
             "replicator dynamics need identical wards; use best_response_dynamics "
             "for asymmetric scenarios"

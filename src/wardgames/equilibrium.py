@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 from .errors import NumericalError, ResourceLimitError, ScenarioError
 from .interventions import (
     PayoffTables,
+    _bits,
     _cost_fields,
     _cost_rule,
     _payoff,
@@ -213,11 +214,8 @@ def _nash_plan(
     """
     n = tables.n
     benefit, penalty = tables.benefit, tables.penalty
-    # wards with equal effective costs share every check
-    groups: dict[tuple[float, float], int] = {}
-    for i, costs in enumerate(zip(tables.cost_expose, tables.cost_buffer)):
-        groups[costs] = groups.get(costs, 0) | 1 << i
-    shared = list(groups.items())
+    # one check per class of interchangeable wards
+    shared = [(tables.cost_expose[i], tables.cost_buffer[i], m) for i, m in tables.classes]
     everyone = (1 << n) - 1
     expose_wins = buffer_wins = everyone
     leave = weak_leave = 0  # wards (weakly) gaining by leaving the k exposers
@@ -227,8 +225,8 @@ def _nash_plan(
         join = weak_join = up_leave = up_weak_leave = 0
         if k < n:
             b_up, b_k, p_k = benefit[k + 1], benefit[k], penalty[k]
-            for (ce, cb), bits in shared:
-                gain = (b_up - ce) - ((b_k - cb) - p_k)
+            for e, c, bits in shared:
+                gain = (b_up - e) - ((b_k - c) - p_k)
                 if gain > epsilon:
                     join |= bits
                 if gain >= -epsilon:
@@ -288,10 +286,10 @@ def _welfare_search(
     matching the first maximiser a mask-ordered scan would find. A game whose
     welfare sums could leave the float range raises NumericalError.
 
-    When the wards are interchangeable (the same cost and charge bits), every
-    ranking key ties at every k and the stable sort is the identity, so each
-    k skips the ranking: its candidate is the first k wards, scored from one
-    repeated entry per action.
+    When the wards form one class of `tables.classes` and share one charge
+    bit pattern, every ranking key ties at every k and the stable sort is the
+    identity, so each k skips the ranking: its candidate is the first k
+    wards, scored from one repeated entry per action.
     """
     n = tables.n
     benefit, penalty = tables.benefit, tables.penalty
@@ -317,9 +315,8 @@ def _welfare_search(
             "the float range; scale benefits, costs and penalties down")
     best: tuple[float, int] | None = None  # (welfare, mask)
     best_nash: tuple[float, int] | None = None
-    # interchangeable wards: compare bits, not ==, as b - 0.0 and b - -0.0
-    # differ when b is -0.0
-    if all(len(set(map(float.hex, c))) == 1 for c in columns):
+    n_classes = len(tables.classes)
+    if n_classes == 1 and (charge is None or len(set(_bits(charge))) == 1):
         e, b = ce[0], cb[0]
         for k in range(n + 1):
             b_k = benefit[k]
@@ -336,7 +333,6 @@ def _welfare_search(
                 _, forced, _, seats, _, _ = nash[k]
                 best_nash = (w, forced | (1 << seats) - 1)
         return best, best_nash
-    distinct = len(set(zip(ce, cb)))  # wards with equal costs have equal exact keys
     for k in range(n + 1):
         order = list(range(n))
         if 0 < k < n:
@@ -344,8 +340,9 @@ def _welfare_search(
             gain = [(b_k - e) - ((b_k - b) - p_k) for e, b in zip(ce, cb)]
             if charge is not None:
                 gain = [g - c for g, c in zip(gain, charge)]
-            elif distinct > 1 and len(set(gain)) < distinct:
-                # a float tie can hide unequal exact keys: rank by (key, exact residual)
+            elif n_classes > 1 and len(set(gain)) < n_classes:
+                # wards of a class share their exact key, so a float tie can hide
+                # unequal exact keys: rank by (key, exact residual)
                 gain = [(g, fsum((b_k - e, -((b_k - b) - p_k), -g)))
                         for g, e, b in zip(gain, ce, cb)]
             order.sort(key=gain.__getitem__, reverse=True)  # ties stay in index order
@@ -441,25 +438,21 @@ def flip_conditions(scenario: Scenario, epsilon: float = 0.0) -> FlipReport:
     t_effort = isolated((None, d_e, d_b), no_penalty)
     t_obs = replace(t_base, penalty=t_full.penalty)
     t_mech = isolated((mech, 0.0, 0.0), no_penalty)
-    wards = []
-    for i in range(n):
-        m_base = t_base.gain_to_expose(i, 0)
-        m_eff = t_effort.gain_to_expose(i, 0)
-        m_obs = t_obs.gain_to_expose(i, 0)
-        m_mech = t_mech.gain_to_expose(i, 0)
-        wards.append(
-            WardFlip(
-                ward=i,
-                baseline_margin=m_base,
-                baseline_buffer_best=m_base < -epsilon,
-                effort_margin=m_eff,
-                effort_buffer_holds=m_eff <= epsilon,
-                observability_margin=m_obs,
-                observability_buffer_holds=m_obs <= epsilon,
-                mechanism_margin=m_mech,
-                mechanism_expose_holds=m_mech >= -epsilon,
-            )
+    margins = zip(*(t.gains(0) for t in (t_base, t_effort, t_obs, t_mech)))
+    wards = tuple(
+        WardFlip(
+            ward=i,
+            baseline_margin=m_base,
+            baseline_buffer_best=m_base < -epsilon,
+            effort_margin=m_eff,
+            effort_buffer_holds=m_eff <= epsilon,
+            observability_margin=m_obs,
+            observability_buffer_holds=m_obs <= epsilon,
+            mechanism_margin=m_mech,
+            mechanism_expose_holds=m_mech >= -epsilon,
         )
+        for i, (m_base, m_eff, m_obs, m_mech) in enumerate(margins)
+    )
     return FlipReport(
-        wards=tuple(wards), blocking_wards=t_full.pole_deviators(True, epsilon)
+        wards=wards, blocking_wards=t_full.pole_deviators(True, epsilon)
     )

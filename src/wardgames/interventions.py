@@ -10,8 +10,10 @@ and effort deltas stack additively across repeated interventions.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 from .errors import NumericalError, ScenarioError
@@ -239,22 +241,33 @@ class PayoffTables:
     def gain_to_expose(self, ward: int, k_others: int) -> float:
         return self.expose(ward, k_others) - self.buffer(ward, k_others)
 
-    @property
-    def symmetric(self) -> bool:
-        """True when every ward has the same effective costs."""
-        ce, cb = self.cost_expose[0], self.cost_buffer[0]
-        return all(e == ce for e in self.cost_expose) and all(
-            b == cb for b in self.cost_buffer
-        )
+    def gains(self, k: int) -> list[float]:
+        """gain_to_expose(i, k) of every ward i, in ward order."""
+        b_up, b_k, p_k = self.benefit[k + 1], self.benefit[k], self.penalty[k]
+        return [(b_up - ce) - ((b_k - cb) - p_k)
+                for ce, cb in zip(self.cost_expose, self.cost_buffer)]
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, int], ...]:
+        """(first ward, mask) per class of wards whose effective costs have the
+        same bits (not ==: b - 0.0 and b - -0.0 differ at b = -0.0), in ward order.
+        Charges are not compared: a broadcast cap over unequal costs is one class."""
+        found: dict[tuple[int, int], tuple[int, int]] = {}
+        for i, key in enumerate(zip(_bits(self.cost_expose), _bits(self.cost_buffer))):
+            first, mask = found.get(key, (i, 0))
+            found[key] = (first, mask | 1 << i)
+        return tuple(found.values())
 
     def pole_deviators(self, all_expose: bool, epsilon: float) -> frozenset[int]:
         """Wards gaining more than epsilon by leaving the all-Expose profile
         (all-Buffer when all_expose is False); it is Nash iff there are none."""
-        j = self.n - 1 if all_expose else 0
-        sign = -1.0 if all_expose else 1.0
-        return frozenset(
-            i for i in range(self.n) if sign * self.gain_to_expose(i, j) > epsilon
-        )
+        j, sign = (self.n - 1, -1.0) if all_expose else (0, 1.0)
+        return frozenset(i for i, g in enumerate(self.gains(j)) if sign * g > epsilon)
+
+
+def _bits(column: tuple[float, ...]) -> array:
+    """The int64 bit pattern of each float: equal iff the floats are identical."""
+    return array("q", array("d", column).tobytes())
 
 
 def _benefit_fields(scenario: Scenario) -> dict:

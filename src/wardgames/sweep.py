@@ -25,7 +25,8 @@ OBSERVABLES = ("nash_set", "classification", "welfare_gap", "flip_margins")
 # the observables that need a Nash analysis of each grid point
 NASH_OBSERVABLES = frozenset({"nash_set", "classification", "welfare_gap"})
 
-# Every grid point runs a full analysis, so larger grids are refused.
+# Larger grids are refused: every grid point patches the compiled game, and a
+# point with a Nash observable runs a full analysis.
 MAX_GRID_POINTS = 10**5
 
 _PATH_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
@@ -58,6 +59,9 @@ class SweepSpec:
         else:
             if self.lo is None or self.hi is None or self.steps is None:
                 raise ScenarioError("a sweep needs either values or lo/hi/steps")
+            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+                raise ScenarioError(
+                    f"need finite lo and hi, got lo={self.lo}, hi={self.hi}")
             if not self.lo < self.hi:
                 raise ScenarioError(f"need lo < hi, got lo={self.lo}, hi={self.hi}")
             if not 2 <= self.steps <= MAX_GRID_POINTS:
@@ -73,9 +77,9 @@ class SweepSpec:
             return sorted(self.values)
         assert self.lo is not None and self.hi is not None and self.steps is not None
         lo, hi, last = self.lo, self.hi, self.steps - 1
-        if math.isfinite(hi - lo):
+        if math.isfinite((hi - lo) * last):
             return [lo + (hi - lo) * i / last for i in range(self.steps)]
-        # hi - lo overflows only when lo < 0 < hi; these terms and their sum cannot
+        # the span or a multiple of it overflows; a weighted mean of lo and hi cannot
         return [lo * (1 - i / last) + hi * (i / last) for i in range(self.steps)]
 
 
@@ -205,7 +209,7 @@ def sweep_parameter(
             if "welfare_gap" in observables:
                 row["welfare_gap"] = report.welfare_gap
         if "flip_margins" in observables:  # against all other wards buffering
-            row["flip_margins"] = [tables.gain_to_expose(i, 0) for i in range(s.n)]
+            row["flip_margins"] = tables.gains(0)
         rows.append(row)
     return rows
 
@@ -294,8 +298,8 @@ def critical_threshold(
     # the first ward to deviate or, when some deviate at lo, the last to stop.
     j, sign = (scenario.n - 1, -1.0) if key.startswith("all_expose") else (0, 1.0)
     crossings = []
-    for i in range(scenario.n):
-        u, w = (sign * t.gain_to_expose(i, j) - epsilon for t in (t_lo, t_hi))
+    for g_lo, g_hi in zip(t_lo.gains(j), t_hi.gains(j)):
+        u, w = sign * g_lo - epsilon, sign * g_hi - epsilon
         if (u > 0) != (w > 0):
             crossings.append(u / (u - w))
     f = (max if p_lo == key.endswith("_not_nash") else min)(crossings, default=0.5)

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
@@ -143,6 +144,24 @@ def interchangeable_edge_scenarios() -> list[Scenario]:
         symmetric_scenario(5, 2.0, 0.5, LinearBenefit(0.4), [obs, redistribute]),
         Scenario(capped, LinearBenefit(0.4), (obs, redistribute)),
     ]
+
+
+def assert_classes(tables) -> None:
+    """tables.classes against its contract: the masks partition the wards in
+    order of their first wards, and two wards share a class iff the bits of
+    their effective costs are equal."""
+    def bits(i: int) -> bytes:
+        return struct.pack("<dd", tables.cost_expose[i], tables.cost_buffer[i])
+
+    seen = 0
+    for first, mask in tables.classes:
+        members = [i for i in range(tables.n) if mask >> i & 1]
+        assert members[0] == first and not seen & mask
+        assert {bits(i) for i in members} == {bits(first)}
+        seen |= mask
+    firsts = [first for first, _ in tables.classes]
+    assert seen == (1 << tables.n) - 1 and firsts == sorted(firsts)
+    assert len({bits(i) for i in firsts}) == len(firsts)
 
 
 def scan_nash(scenario: Scenario, epsilon: float = 0.0) -> list[tuple[int, bool]]:

@@ -643,6 +643,12 @@ class TestFlagErrors:
              "--initial: initial profile length 3 does not match 4 wards"),
             (["dynamics", S0, "--initial", "EXBB"],
              "--initial: profile string must use only 'E' and 'B', got 'EXBB'"),
+            (SWEEP + ["--lo", "0", "--hi", "inf"],
+             "--lo/--hi: need finite bounds, got lo=0.0, hi=inf"),
+            (SWEEP + ["--lo=-inf", "--hi", "1"] + CRITICAL,
+             "--lo/--hi: need finite bounds, got lo=-inf, hi=1.0"),
+            (SWEEP + ["--lo", "nan", "--hi", "1"],
+             "--lo/--hi: need finite bounds, got lo=nan, hi=1.0"),
         ],
     )
     def test_message_names_the_flag(self, argv, line, capsys):
@@ -726,6 +732,44 @@ class TestNashWardsCap:
         assert main(sweep + ["--critical", "--predicate", "all_buffer_not_nash"]) == 0
         assert main(["dynamics", str(path), "--initial", "EBBB",
                      "--out", str(tmp_path / "trace.csv")]) == 0
+
+
+class TestMarginCellsCap:
+    OBSERVED = {"kind": "observability", "p0": 0.5, "penalty": 1.0}
+
+    def sweep(self, tmp_path, n, steps, observables="flip_margins"):
+        doc = {**s0_doc(), "n_wards": n, "interventions": [self.OBSERVED]}
+        return main(["sweep", str(write_scenario(tmp_path, doc)),
+                     "--path", "interventions[0].penalty", "--lo", "0", "--hi", "2",
+                     "--steps", str(steps), "--observables", observables,
+                     "--out", str(tmp_path / "out.csv")])
+
+    def test_above_the_cap_exits_2_before_any_point(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep point ran above the cap")
+
+        monkeypatch.setattr(cli, "sweep_parameter", refuse)
+        n, steps = 10**4, 1001
+        assert n * steps > cli.MAX_MARGIN_CELLS and n <= cli.MAX_WARDS
+        start = time.perf_counter()
+        assert self.sweep(tmp_path, n, steps) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: --steps: 10000 wards x 1001 grid points exceed "
+            f"{cli.MAX_MARGIN_CELLS} flip-margin cells\n"
+        )
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_at_the_cap_accepted(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_MARGIN_CELLS", 12)
+        assert self.sweep(tmp_path, 4, 3) == 0
+        assert self.sweep(tmp_path, 4, 3, "classification,flip_margins") == 0
+        assert self.sweep(tmp_path, 4, 4) == 2
+        assert self.sweep(tmp_path, 4, 4, "classification,flip_margins") == 2
+        assert self.sweep(tmp_path, 4, 4, "classification") == 0  # no margin cells
+        assert capsys.readouterr().err == (
+            "error: --steps: 4 wards x 4 grid points exceed 12 flip-margin cells\n" * 2
+        )
 
 
 class TestTraceCellsCap:
@@ -897,6 +941,17 @@ class TestSweep:
                      "--observables", "classification"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "value,classification", "-1.7e+308,Mixed/Other", "0.0,Bistable",
+            "1.7e+308,Bistable",
+        ]
+
+    def test_grid_with_an_overflowing_multiple_of_its_span(self, capsys):
+        # hi - lo is finite, but (hi - lo) * 2 is not
+        assert main(["sweep", str(SCENARIOS / "s0_observability.json"),
+                     "--path", "interventions[0].p_slope", "--lo", "0",
+                     "--hi", "1.7e308", "--steps", "3",
+                     "--observables", "classification"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "value,classification", "0.0,Bistable", "8.5e+307,Bistable",
             "1.7e+308,Bistable",
         ]
 

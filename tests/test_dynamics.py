@@ -39,7 +39,7 @@ from wardgames import dynamics
 from wardgames.cli import load_scenario, main
 from wardgames.dynamics import _binomial_mean
 from wardgames.model import profile_string
-from conftest import random_scenario
+from conftest import interchangeable_edge_scenarios, random_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 X_STAR = (1.0 / 3.0) ** (1.0 / 3.0)
@@ -879,3 +879,23 @@ class TestReplicatorSizeLimit:
         with pytest.raises(ScenarioError, match="at most 1030 wards"):
             integrate_replicator(s, 0.5)
         assert time.perf_counter() - start < 1.0
+
+
+class TestReplicatorOnOneClass:
+    """The replicator needs one class of bit-identical effective costs."""
+
+    def test_unequal_redistribute_charges_over_one_class_run(self):
+        # effective costs are (1.1, 0.5) for every ward, the charges 2.4 down to 0.4
+        capped = interchangeable_edge_scenarios()[3]
+        twin = symmetric_scenario(5, 3.5, 0.5, capped.benefit, capped.interventions)
+        assert integrate_replicator(capped, 0.3) == integrate_replicator(twin, 0.3)
+        assert expected_payoffs_by_strategy(capped, 0.3) == expected_payoffs_by_strategy(
+            twin, 0.3)
+
+    def test_mixed_signed_zero_costs_are_refused(self):
+        # 0.0 == -0.0, but under a benefit of -0.0 the wards' payoffs differ in sign
+        mixed, negative, _, _ = interchangeable_edge_scenarios()
+        for run in (integrate_replicator, expected_payoffs_by_strategy):
+            with pytest.raises(ScenarioError, match="identical wards"):
+                run(mixed, 0.5)
+            run(negative, 0.5)

@@ -35,7 +35,12 @@ from wardgames import (
 )
 from wardgames.interventions import buffering_penalty
 
-from conftest import random_scenario, repeated_costs_scenario
+from conftest import (
+    assert_classes,
+    interchangeable_edge_scenarios,
+    random_scenario,
+    repeated_costs_scenario,
+)
 
 
 def all_profiles(n):
@@ -308,19 +313,20 @@ class TestComposition:
 
 class TestSymmetryDetection:
     def test_symmetric_scenarios_detected(self, s0):
-        assert payoff_tables(s0).symmetric
+        assert payoff_tables(s0).classes == ((0, 0b1111),)
 
     def test_broadcast_cap_keeps_symmetry(self, s0):
         s = Scenario(s0.wards, s0.benefit, (Mechanism(1.2),))
-        assert payoff_tables(s).symmetric
+        assert payoff_tables(s).classes == ((0, 0b1111),)
 
     def test_per_ward_caps_break_symmetry(self, s0):
         s = Scenario(s0.wards, s0.benefit, (Mechanism((1.2, 1.2, 1.2, 0.9)),))
-        assert not payoff_tables(s).symmetric
+        assert payoff_tables(s).classes == ((0, 0b0111), (3, 0b1000))
 
     def test_cost_differences_break_symmetry(self):
-        wards = (Ward(0, 2.0, 1.0), Ward(1, 2.0, 1.0), Ward(2, 2.5, 1.0))
-        assert not payoff_tables(Scenario(wards, LinearBenefit(0.3))).symmetric
+        wards = (Ward(0, 2.0, 1.0), Ward(1, 2.5, 1.0), Ward(2, 2.0, 1.0))
+        tables = payoff_tables(Scenario(wards, LinearBenefit(0.3)))
+        assert tables.classes == ((0, 0b101), (1, 0b010))
 
     def test_equal_effective_costs_are_symmetric(self):
         # a broadcast cap erases the raw cost differences: payoffs are identical
@@ -329,12 +335,50 @@ class TestSymmetryDetection:
         wards = (Ward(0, 3.0, 1.0), Ward(1, 4.0, 1.0), Ward(2, 3.5, 1.0))
         s = Scenario(wards, veto, tuple(cap))
         same = symmetric_scenario(3, 3.0, 1.0, veto, cap)
-        assert payoff_tables(s).symmetric
+        assert payoff_tables(s).classes == ((0, 0b111),)
         assert integrate_replicator(s, 0.5) == integrate_replicator(same, 0.5)
         path = "interventions[0].capped_cost_expose"
         found = critical_threshold(s, path, 0.5, 6.0, "all_expose_nash")
         assert found.bracket == (4.0, math.nextafter(4.0, math.inf))  # cap* = c(B) + beta
         assert found == critical_threshold(same, path, 0.5, 6.0, "all_expose_nash")
+
+    def test_signed_zeros_are_compared_by_bits(self):
+        # 0.0 == -0.0, but b - 0.0 and b - -0.0 differ at b = -0.0: four classes
+        mixed, negative, _, capped = interchangeable_edge_scenarios()
+        assert payoff_tables(mixed).classes == tuple((i, 1 << i) for i in range(4))
+        assert payoff_tables(negative).classes == ((0, 0b1111),)
+        # redistribute charges differ by ward but are not part of the key
+        assert len(set(payoff_tables(capped).charge)) == 5
+        assert payoff_tables(capped).classes == ((0, 0b11111),)
+
+
+def compiled_games():
+    """Tables of random, repeated-cost and edge scenarios, with interventions."""
+    rng = random.Random(424)
+    for trial in range(60):
+        if trial % 3 == 2:
+            s = repeated_costs_scenario(rng, with_interventions=True)
+        else:
+            s = random_scenario(rng, symmetric=trial % 3 == 0, with_interventions=True)
+        yield payoff_tables(s)
+    for s in interchangeable_edge_scenarios():
+        yield payoff_tables(s)
+
+
+class TestClassesAndGains:
+    def test_classes_partition_the_wards_by_cost_bits(self):
+        counts = set()
+        for tables in compiled_games():
+            assert_classes(tables)
+            counts.add(min(len(tables.classes), 3))
+        assert counts == {1, 2, 3}
+
+    def test_gains_equal_gain_to_expose(self):
+        for tables in compiled_games():
+            n = tables.n
+            for k in range(n):
+                expected = [tables.gain_to_expose(i, k) for i in range(n)]
+                assert repr(tables.gains(k)) == repr(expected)
 
 
 def entries_and_gains(scenario):

@@ -41,6 +41,7 @@ from wardgames.model import profile_string
 from wardgames.sweep import MAX_GRID_POINTS, NASH_OBSERVABLES, OBSERVABLES, PREDICATES
 
 from conftest import (
+    assert_classes,
     interchangeable_edge_scenarios,
     random_scenario,
     repeated_costs_scenario,
@@ -190,6 +191,20 @@ class TestSweep:
             SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=1)
         with pytest.raises(ScenarioError):
             SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=5, observables=("bogus",))
+
+    def test_grid_with_an_overflowing_multiple_of_its_span(self):
+        # hi - lo is finite, but (hi - lo) * 2 is not
+        assert SweepSpec("x", lo=0.0, hi=1e308, steps=3).grid() == [0.0, 5e307, 1e308]
+        grid = SweepSpec("x", lo=1e300, hi=1.7e308, steps=MAX_GRID_POINTS).grid()
+        assert grid[0] == 1e300 and grid[-1] == 1.7e308
+        assert all(a <= b for a, b in zip(grid, grid[1:]))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
+    ])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ScenarioError, match="need finite lo and hi"):
+            SweepSpec(parameter_path="x", lo=lo, hi=hi, steps=3)
 
     def test_grid_capped(self):
         SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=MAX_GRID_POINTS)
@@ -387,6 +402,19 @@ class TestPatchedTables:
         assert {"cost_expose", "cost_buffer", "beta_per_exposer", "tau", "beta", "gamma",
                 "values", "delta_expose", "delta_buffer", "p0", "p_slope", "penalty",
                 "capped_cost_expose"} <= set(checked)
+
+    def test_patched_tables_have_their_own_classes(self):
+        import wardgames.sweep as sweep
+
+        for rng, s in self.scenarios():
+            for path in numeric_paths(s):
+                values = path_values(rng, s, path)
+                if path.startswith("wards["):  # the other wards' costs: classes merge
+                    field = path.split(".")[1]
+                    values += tuple(getattr(w, field) for w in s.wards)
+                at, _ = sweep._patcher(s, path)
+                for value in values:
+                    assert_classes(at(value)[1])
 
     @pytest.mark.parametrize("path, bad", [
         ("interventions[0].penalty", -1.0),
@@ -720,7 +748,7 @@ class TestCriticalThreshold:
         # ward 3 (c(E) = 3) flips at delta_E = 1.7, after the others at 0.7
         wards = s0.wards[:3] + (type(s0.wards[0])(3, 3.0, 1.0),)
         s = Scenario(wards, s0.benefit, (EffortReduction(0.0, 0.0),))
-        assert not payoff_tables(s).symmetric
+        assert payoff_tables(s).classes == ((0, 0b0111), (3, 0b1000))
         path = "interventions[0].delta_expose"
         result = critical_threshold(s, path, 0.0, 2.5, "all_buffer_not_nash")
         assert result.bracket == (0.7, math.nextafter(0.7, math.inf))
