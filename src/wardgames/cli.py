@@ -59,11 +59,12 @@ from .sweep import (
     MAX_GRID_POINTS,
     NASH_OBSERVABLES,
     OBSERVABLES,
-    SweepSpec,
     ThresholdResult,
+    check_observables,
     critical_threshold,
     get_by_path,
     normalize_predicate,
+    sweep_grid,
     sweep_parameter,
 )
 
@@ -731,30 +732,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"expected an integer in [2, {MAX_GRID_POINTS}], got {args.steps}",
     )
     observables = tuple(args.observables.split(","))
-    # lo, hi and steps are checked above, so only the observables can fail here
-    spec = _build(
-        SweepSpec,
-        "--observables",
-        parameter_path=args.path,
-        lo=args.lo,
-        hi=args.hi,
-        steps=args.steps,
-        observables=observables,
-    )
+    _build(check_observables, "--observables", observables=observables)
     if NASH_OBSERVABLES & set(observables):
         _require_nash_size(scenario)
     if "flip_margins" in observables:
         _require(scenario.n * args.steps <= MAX_MARGIN_CELLS, "--steps",
                  f"{scenario.n} wards x {args.steps} grid points exceed "
                  f"{MAX_MARGIN_CELLS} flip-margin cells")
+    grid = sweep_grid(args.lo, args.hi, args.steps)  # its bounds and steps are checked above
     if isinstance(get_by_path(scenario, args.path), int):  # such as benefit.tau
         _require(args.lo.is_integer() and args.hi.is_integer(), "--lo/--hi",
                  f"{args.path!r} names an integer field; got lo={args.lo}, hi={args.hi}")
-        off = next((v for v in spec.grid() if not v.is_integer()), None)
+        off = next((v for v in grid if not v.is_integer()), None)
         _require(off is None, "--steps",
                  f"{args.path!r} names an integer field, but {args.steps} points over "
                  f"[{args.lo}, {args.hi}] include {off}; steps - 1 must divide hi - lo")
-    rows = sweep_parameter(scenario, spec, epsilon=epsilon)
+    rows = sweep_parameter(scenario, args.path, grid, observables, epsilon=epsilon)
     _write_output(sweep_rows_to_csv(rows, observables, scenario.n), args.out)
     return EXIT_OK
 
@@ -797,8 +790,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     sys.stdout.write(format_analysis_text(scenario, eq, flip))
     for idx, kind, path, lo, hi, predicate in _canonical_sweeps(scenario):
-        spec = SweepSpec(parameter_path=path, lo=lo, hi=hi, steps=21, observables=OBSERVABLES)
-        rows = sweep_parameter(scenario, spec, epsilon=epsilon)
+        rows = sweep_parameter(scenario, path, sweep_grid(lo, hi, 21), epsilon=epsilon)
         stem = f"{idx}_{kind}"
         (bundle / f"sweep_{stem}.csv").write_text(
             sweep_rows_to_csv(rows, OBSERVABLES, scenario.n)
@@ -863,8 +855,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweep or critical threshold")
     p.add_argument("scenario")
     p.add_argument("--path", required=True, help="e.g. interventions[0].penalty")
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
+    p.add_argument("--lo", type=float, required=True,
+                   help="lower bound; write a negative one like -1e-3 as --lo=-1e-3")
+    p.add_argument("--hi", type=float, required=True,
+                   help="upper bound; write a negative one like -1e-3 as --hi=-1e-3")
     p.add_argument("--steps", type=int, default=11)
     p.add_argument(
         "--observables",

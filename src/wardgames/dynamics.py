@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 from .errors import NumericalError, ScenarioError
 from .interventions import payoff_tables
-from .model import Action, ActionProfile, Scenario
+from .model import Action, ActionProfile, Scenario, check_epsilon
 
 SCHEDULES = ("round_robin", "random")
 TIE_BREAKS = ("stay", "expose", "buffer")
@@ -114,6 +114,7 @@ def best_response_dynamics(
         raise ScenarioError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
     if max_iters < 1:
         raise ScenarioError(f"max_iters must be >= 1, got {max_iters}")
+    check_epsilon(epsilon)
     n = scenario.n
     if len(initial) != n:
         raise ScenarioError(
@@ -210,8 +211,9 @@ def _replicator_tables(scenario: Scenario) -> Rows:
     tables = payoff_tables(scenario)
     if len(tables.classes) != 1:
         raise ScenarioError(
-            "replicator dynamics need identical wards; use best_response_dynamics "
-            "for asymmetric scenarios"
+            "replicator dynamics need every ward's effective cost_expose and "
+            "cost_buffer to be bit-identical (0.0 and -0.0 differ); use "
+            "best_response_dynamics for other scenarios"
         )
     n = scenario.n
     if n > MAX_REPLICATOR_WARDS:

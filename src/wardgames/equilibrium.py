@@ -26,7 +26,7 @@ from .interventions import (
     buffering_penalty,
     payoff_tables,
 )
-from .model import Action, ActionProfile, Scenario, benefit_at_count, welfare
+from .model import Action, ActionProfile, Scenario, benefit_at_count, check_epsilon, welfare
 
 # Materialising a Nash set of more than this many profiles is refused.
 _MAX_NASH_PROFILES = 1 << 22
@@ -143,6 +143,7 @@ def best_response(
     others must list the actions of all wards except `ward`, in ward order.
     Ties (payoffs within epsilon) return both actions.
     """
+    check_epsilon(epsilon)
     n = scenario.n
     if not 0 <= ward < n:
         raise ScenarioError(f"ward index {ward} out of range [0, {n - 1}]")
@@ -168,6 +169,7 @@ def is_nash(
     deviation strictly loses. Kept independent of the table-based enumerator
     so the two can cross-check each other.
     """
+    check_epsilon(epsilon)
     if len(profile) != scenario.n:
         raise ScenarioError(
             f"profile length {len(profile)} does not match {scenario.n} wards"
@@ -378,6 +380,7 @@ def enumerate_nash(scenario: Scenario, epsilon: float = 0.0) -> EquilibriumRepor
     The payoff tables are built once; welfare() is called only on the
     welfare optimum and on the best Nash profile.
     """
+    check_epsilon(epsilon)
     return _analyse(scenario, payoff_tables(scenario), epsilon, oracle=True)
 
 
@@ -426,6 +429,7 @@ def flip_conditions(scenario: Scenario, epsilon: float = 0.0) -> FlipReport:
     compiled once, and each archetype swaps in its own costs and penalty.
     blocking_wards comes from the fully effective game at all-Expose.
     """
+    check_epsilon(epsilon)
     n = scenario.n
     t_full = payoff_tables(scenario)
     mech, d_e, d_b = _cost_rule(scenario)

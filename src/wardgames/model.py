@@ -274,6 +274,13 @@ def _check_profile(scenario: Scenario, profile: ActionProfile) -> None:
         )
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse a tie tolerance that is not a finite number >= 0: a NaN or a
+    negative one makes every comparison with it wrong without comment."""
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ScenarioError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+
+
 def welfare(scenario: Scenario, profile: ActionProfile) -> float:
     """Sum of ward payoffs, charged with any system-borne redistribution cost.
 

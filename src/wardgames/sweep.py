@@ -12,14 +12,14 @@ import math
 import re
 import struct
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import BracketError, ScenarioError
 from .equilibrium import _analyse
 from .equilibrium import is_nash  # noqa: F401  perfbench's tracer test looks it up here
 from .interventions import (Observability, PayoffTables, _benefit_fields, _cost_fields,
                             _penalty_fields, payoff_tables)
-from .model import Scenario, profile_string
+from .model import Scenario, check_epsilon, profile_string
 
 OBSERVABLES = ("nash_set", "classification", "welfare_gap", "flip_margins")
 # the observables that need a Nash analysis of each grid point
@@ -32,55 +32,25 @@ MAX_GRID_POINTS = 10**5
 _PATH_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """What to sweep and what to record at each grid point.
+def sweep_grid(lo: float, hi: float, steps: int) -> list[float]:
+    """`steps` evenly spaced values from lo to hi, both ends included."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ScenarioError(f"need finite lo and hi, got lo={lo}, hi={hi}")
+    if not lo < hi:
+        raise ScenarioError(f"need lo < hi, got lo={lo}, hi={hi}")
+    if not 2 <= steps <= MAX_GRID_POINTS:
+        raise ScenarioError(f"steps must lie in [2, {MAX_GRID_POINTS}], got {steps}")
+    last = steps - 1
+    if math.isfinite((hi - lo) * last):
+        return [lo + (hi - lo) * i / last for i in range(steps)]
+    # the span or a multiple of it overflows; a weighted mean of lo and hi cannot
+    return [lo * (1 - i / last) + hi * (i / last) for i in range(steps)]
 
-    Provide either an explicit value list or a uniform grid (lo, hi, steps).
-    """
 
-    parameter_path: str
-    lo: float | None = None
-    hi: float | None = None
-    steps: int | None = None
-    values: tuple[float, ...] | None = None
-    observables: tuple[str, ...] = OBSERVABLES
-
-    def __post_init__(self) -> None:
-        if self.values is not None:
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-            if not self.values:
-                raise ScenarioError("explicit sweep values must be non-empty")
-            if len(self.values) > MAX_GRID_POINTS:
-                raise ScenarioError(
-                    f"{len(self.values)} sweep values exceed the cap of "
-                    f"{MAX_GRID_POINTS}"
-                )
-        else:
-            if self.lo is None or self.hi is None or self.steps is None:
-                raise ScenarioError("a sweep needs either values or lo/hi/steps")
-            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-                raise ScenarioError(
-                    f"need finite lo and hi, got lo={self.lo}, hi={self.hi}")
-            if not self.lo < self.hi:
-                raise ScenarioError(f"need lo < hi, got lo={self.lo}, hi={self.hi}")
-            if not 2 <= self.steps <= MAX_GRID_POINTS:
-                raise ScenarioError(
-                    f"steps must lie in [2, {MAX_GRID_POINTS}], got {self.steps}"
-                )
-        bad = [o for o in self.observables if o not in OBSERVABLES]
-        if bad:
-            raise ScenarioError(f"unknown observables {bad}; valid: {OBSERVABLES}")
-
-    def grid(self) -> list[float]:
-        if self.values is not None:
-            return sorted(self.values)
-        assert self.lo is not None and self.hi is not None and self.steps is not None
-        lo, hi, last = self.lo, self.hi, self.steps - 1
-        if math.isfinite((hi - lo) * last):
-            return [lo + (hi - lo) * i / last for i in range(self.steps)]
-        # the span or a multiple of it overflows; a weighted mean of lo and hi cannot
-        return [lo * (1 - i / last) + hi * (i / last) for i in range(self.steps)]
+def check_observables(observables: tuple[str, ...]) -> None:
+    bad = [o for o in observables if o not in OBSERVABLES]
+    if bad:
+        raise ScenarioError(f"unknown observables {bad}; valid: {OBSERVABLES}")
 
 
 def _tokens(path: str) -> list[tuple[str, int | None]]:
@@ -175,29 +145,39 @@ def _patcher(scenario: Scenario, path: str) -> tuple[Callable, bool]:
 
 def sweep_parameter(
     scenario: Scenario,
-    spec: SweepSpec,
+    parameter_path: str,
+    values: Iterable[float],
+    observables: tuple[str, ...] = OBSERVABLES,
     epsilon: float = 0.0,
 ) -> list[dict[str, Any]]:
-    """Evaluate the requested observables at every grid value.
+    """Evaluate the observables at each value of the field at parameter_path.
 
     Rows are ordered by value. The game is compiled once, and each point
-    rebuilds only the part of it that the swept field enters. A fraction on
-    an integer field is refused before any point is analysed. Only nash_set
-    builds the Nash profile list, so only it is subject to the 4M-profile cap.
+    rebuilds only the part of it that the swept field enters. An empty or
+    over-long value list, an unknown observable and a fraction on an integer
+    field are refused before any point is analysed. Only nash_set builds the
+    Nash profile list, so only it is subject to the 4M-profile cap.
     """
-    observables = set(spec.observables)
-    at, integer = _patcher(scenario, spec.parameter_path)
-    grid = spec.grid()
+    check_epsilon(epsilon)
+    grid = sorted(float(v) for v in values)
+    if not grid:
+        raise ScenarioError("sweep values must be non-empty")
+    if len(grid) > MAX_GRID_POINTS:
+        raise ScenarioError(
+            f"{len(grid)} sweep values exceed the cap of {MAX_GRID_POINTS}")
+    check_observables(observables)
+    at, integer = _patcher(scenario, parameter_path)
     off = next((v for v in grid if integer and not v.is_integer()), None)
     if off is not None:
-        raise ScenarioError(f"parameter path {spec.parameter_path!r} names an integer "
+        raise ScenarioError(f"parameter path {parameter_path!r} names an integer "
                             f"field, but the grid of {len(grid)} points includes {off}")
+    nash = not NASH_OBSERVABLES.isdisjoint(observables)
     rows = []
     plan = names = None
     for value in grid:
         s, tables = at(value)
         row: dict[str, Any] = {"value": value}
-        if NASH_OBSERVABLES & observables:
+        if nash:
             report = _analyse(s, tables, epsilon, oracle=False)
             if "nash_set" in observables:
                 if report.nash_plan != plan:  # an equal plan lists the same profiles
@@ -281,6 +261,7 @@ def critical_threshold(
     at two adjacent values where the predicate differs, monotone or not.
     Boundaries are evaluated with weak-Nash semantics.
     """
+    check_epsilon(epsilon)
     if not lo < hi:
         raise ScenarioError(f"need lo < hi, got lo={lo}, hi={hi}")
     key = normalize_predicate(predicate)

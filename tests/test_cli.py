@@ -23,9 +23,9 @@ from wardgames import (
     Observability,
     Scenario,
     ScenarioError,
-    SweepSpec,
     best_response_dynamics,
     integrate_replicator,
+    sweep_grid,
     sweep_parameter,
     symmetric_scenario,
 )
@@ -561,8 +561,8 @@ class TestDynamics:
         # penalty 1.4 makes all 16 profiles weak Nash; a pure Nash profile
         # always exists, so a gap and an empty Nash set are built by hand
         s = replace(s0, interventions=(Observability(p0=0.5, penalty=1.4),))
-        spec = SweepSpec("interventions[0].penalty", lo=0.0, hi=2.8, steps=5)
-        sweep_rows = sweep_parameter(s, spec) + [{
+        grid = sweep_grid(0.0, 2.8, 5)
+        sweep_rows = sweep_parameter(s, "interventions[0].penalty", grid) + [{
             "value": 3.5, "nash_set": [], "classification": "Mixed/Other",
             "welfare_gap": None, "flip_margins": [-0.5] * s.n,
         }]
@@ -663,6 +663,19 @@ class TestFlagErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: replicator dynamics support at most 1030 wards, got 1031")
+
+    def test_replicator_on_signed_zero_costs_exits_2(self, tmp_path, capsys):
+        doc = {"n_wards": 2, "wards": [{"cost_expose": 0.0, "cost_buffer": 0.0},
+                                       {"cost_expose": -0.0, "cost_buffer": 0.0}],
+               "benefit": {"kind": "linear", "beta_per_exposer": 0.0}}
+        argv = ["dynamics", str(write_scenario(tmp_path, doc)), "--replicator", "--initial", "0.5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: replicator dynamics need every ward's effective cost_expose and "
+            "cost_buffer to be bit-identical (0.0 and -0.0 differ); use "
+            "best_response_dynamics for other scenarios\n")
 
     def test_n_wards_above_the_cap_fails_fast(self, tmp_path, capsys):
         over = cli.MAX_WARDS + 1
@@ -955,6 +968,28 @@ class TestSweep:
             "1.7e+308,Bistable",
         ]
 
+    def test_negative_bound_in_exponent_form_needs_the_equals_form(self, capsys):
+        # argparse takes "-1e-3" after --lo for an option, so only --lo=-1e-3 works
+        argv = ["sweep", str(SCENARIOS / "s0_observability.json"),
+                "--path", "interventions[0].p_slope", "--hi", "0.5", "--steps", "3",
+                "--observables", "classification"]
+        assert main(argv + ["--lo=-1e-3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "value,classification", "-0.001,Mixed/Other", "0.2495,Bistable", "0.5,Bistable",
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--lo", "-1e-3"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "wardgames sweep: error: argument --lo: expected one argument\n")
+        with pytest.raises(SystemExit) as exit_info:  # the help names the = form
+            main(["sweep", "--help"])
+        assert exit_info.value.code == 0
+        help_text = capsys.readouterr().out
+        assert "--lo=-1e-3" in help_text and "--hi=-1e-3" in help_text
+
     def test_unresolvable_path_exits_2(self, capsys):
         assert main(
             [
@@ -1146,9 +1181,8 @@ class TestMarginChart:
             s = replace(s, wards=tuple(replace(w, cost_expose=w.cost_expose + 0.1 * w.id)
                                        for w in s.wards))
             path = cli._canonical_sweeps(s)[0][2]
-            spec = SweepSpec(parameter_path=path, lo=0.0, hi=3.0, steps=21,
-                             observables=("flip_margins",))
-            rows = sweep_parameter(s, spec)
+            rows = sweep_parameter(s, path, sweep_grid(0.0, 3.0, 21),
+                                   observables=("flip_margins",))
             cases.append(([r["value"] for r in rows], [r["flip_margins"] for r in rows]))
         for values, margins in cases:
             assert cli.margin_chart_svg("t: margin vs p", values, margins) == (

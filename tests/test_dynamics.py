@@ -896,6 +896,6 @@ class TestReplicatorOnOneClass:
         # 0.0 == -0.0, but under a benefit of -0.0 the wards' payoffs differ in sign
         mixed, negative, _, _ = interchangeable_edge_scenarios()
         for run in (integrate_replicator, expected_payoffs_by_strategy):
-            with pytest.raises(ScenarioError, match="identical wards"):
+            with pytest.raises(ScenarioError, match=r"bit-identical \(0\.0 and -0\.0 differ"):
                 run(mixed, 0.5)
             run(negative, 0.5)

@@ -23,13 +23,13 @@ from wardgames import (
     Observability,
     Scenario,
     ScenarioError,
-    SweepSpec,
     ThresholdBenefit,
     critical_threshold,
     effective_payoff,
     get_by_path,
     is_nash,
     set_by_path,
+    sweep_grid,
     sweep_parameter,
     enumerate_nash,
     symmetric_scenario,
@@ -111,14 +111,8 @@ class TestParameterPaths:
 class TestSweep:
     def test_penalty_sweep_classifications(self):
         s = obs_scenario()
-        spec = SweepSpec(
-            parameter_path="interventions[0].penalty",
-            lo=0.0,
-            hi=2.0,
-            steps=5,
-            observables=("classification", "nash_set"),
-        )
-        rows = sweep_parameter(s, spec)
+        rows = sweep_parameter(s, "interventions[0].penalty", sweep_grid(0.0, 2.0, 5),
+                               observables=("classification", "nash_set"))
         by_value = {row["value"]: row["classification"] for row in rows}
         assert by_value[0.0] == "DominantBuffer"
         assert by_value[0.5] == "DominantBuffer"
@@ -127,33 +121,19 @@ class TestSweep:
 
     def test_boundary_value_weak_nash_both_poles(self):
         s = obs_scenario()
-        spec = SweepSpec(
-            parameter_path="interventions[0].penalty",
-            values=(1.4,),
-            observables=("nash_set",),
-        )
-        rows = sweep_parameter(s, spec)
+        rows = sweep_parameter(s, "interventions[0].penalty", (1.4,),
+                               observables=("nash_set",))
         assert "BBBB" in rows[0]["nash_set"] and "EEEE" in rows[0]["nash_set"]
 
     def test_repeated_value_rows_identical(self):
         s = obs_scenario()
-        spec = SweepSpec(
-            parameter_path="interventions[0].penalty",
-            values=(0.5, 0.5, 0.5),
-        )
-        rows = sweep_parameter(s, spec)
+        rows = sweep_parameter(s, "interventions[0].penalty", (0.5, 0.5, 0.5))
         assert rows[0] == rows[1] == rows[2]
 
     def test_effort_sweep_flips_between_point6_and_point8(self, s0):
         s = Scenario(s0.wards, s0.benefit, (EffortReduction(0.0, 0.0),))
-        spec = SweepSpec(
-            parameter_path="interventions[0].delta_expose",
-            lo=0.0,
-            hi=1.0,
-            steps=6,
-            observables=("nash_set",),
-        )
-        rows = sweep_parameter(s, spec)
+        rows = sweep_parameter(s, "interventions[0].delta_expose", sweep_grid(0.0, 1.0, 6),
+                               observables=("nash_set",))
         flips = ["BBBB" in row["nash_set"] for row in rows]
         # all-Buffer survives through 0.6 and is gone by 0.8
         assert flips == [True, True, True, True, False, False]
@@ -171,31 +151,28 @@ class TestSweep:
                 LinearBenefit(rng.uniform(0.0, 0.15)),
                 [Observability(p0=p0, penalty=0.0)],
             )
-            spec = SweepSpec(
-                parameter_path="interventions[0].penalty",
-                lo=0.0,
-                hi=2.0 * (ce - cb) / p0 + 1.0,
-                steps=17,
-                observables=("nash_set",),
-            )
-            rows = sweep_parameter(s, spec)
+            grid = sweep_grid(0.0, 2.0 * (ce - cb) / p0 + 1.0, 17)
+            rows = sweep_parameter(s, "interventions[0].penalty", grid,
+                                   observables=("nash_set",))
             all_b = "B" * s.n
             states = [all_b in row["nash_set"] for row in rows]
             changes = sum(1 for a, b in zip(states, states[1:]) if a != b)
             assert changes == 1
 
     def test_invalid_spec_rejected(self):
+        s = obs_scenario()
         with pytest.raises(ScenarioError):
-            SweepSpec(parameter_path="x", lo=1.0, hi=0.0, steps=5)
+            sweep_grid(1.0, 0.0, 5)
         with pytest.raises(ScenarioError):
-            SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=1)
-        with pytest.raises(ScenarioError):
-            SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=5, observables=("bogus",))
+            sweep_grid(0.0, 1.0, 1)
+        # refused before the path "x" is resolved
+        with pytest.raises(ScenarioError, match="unknown observables"):
+            sweep_parameter(s, "x", sweep_grid(0.0, 1.0, 5), observables=("bogus",))
 
     def test_grid_with_an_overflowing_multiple_of_its_span(self):
         # hi - lo is finite, but (hi - lo) * 2 is not
-        assert SweepSpec("x", lo=0.0, hi=1e308, steps=3).grid() == [0.0, 5e307, 1e308]
-        grid = SweepSpec("x", lo=1e300, hi=1.7e308, steps=MAX_GRID_POINTS).grid()
+        assert sweep_grid(0.0, 1e308, 3) == [0.0, 5e307, 1e308]
+        grid = sweep_grid(1e300, 1.7e308, MAX_GRID_POINTS)
         assert grid[0] == 1e300 and grid[-1] == 1.7e308
         assert all(a <= b for a, b in zip(grid, grid[1:]))
 
@@ -204,14 +181,15 @@ class TestSweep:
     ])
     def test_non_finite_bounds_rejected(self, lo, hi):
         with pytest.raises(ScenarioError, match="need finite lo and hi"):
-            SweepSpec(parameter_path="x", lo=lo, hi=hi, steps=3)
+            sweep_grid(lo, hi, 3)
 
     def test_grid_capped(self):
-        SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=MAX_GRID_POINTS)
+        sweep_grid(0.0, 1.0, MAX_GRID_POINTS)
         with pytest.raises(ScenarioError):
-            SweepSpec(parameter_path="x", lo=0.0, hi=1.0, steps=MAX_GRID_POINTS + 1)
-        with pytest.raises(ScenarioError):
-            SweepSpec(parameter_path="x", values=[0.0] * (MAX_GRID_POINTS + 1))
+            sweep_grid(0.0, 1.0, MAX_GRID_POINTS + 1)
+        # refused before the path "x" is resolved
+        with pytest.raises(ScenarioError, match="exceed the cap"):
+            sweep_parameter(obs_scenario(), "x", [0.0] * (MAX_GRID_POINTS + 1))
 
 
 def swept_path(s: Scenario) -> tuple[str, float, float]:
@@ -264,10 +242,9 @@ class TestSweepWelfareFromTheSearch:
             kinds.update(type(iv).__name__ for iv in s.interventions)
             kinds.update(iv.mode for iv in s.interventions if isinstance(iv, Mechanism))
             path, lo, hi = swept_path(s)
-            spec = SweepSpec(parameter_path=path, lo=lo, hi=hi, steps=9,
-                             observables=("classification", "welfare_gap"))
             before = len(calls)
-            rows = sweep_parameter(s, spec, epsilon=epsilon)
+            rows = sweep_parameter(s, path, sweep_grid(lo, hi, 9),
+                                   ("classification", "welfare_gap"), epsilon=epsilon)
             assert len(calls) == before, "sweep_parameter called welfare()"
             for row in rows:
                 point = set_by_path(s, path, row["value"])
@@ -281,14 +258,14 @@ class TestSweepWelfareFromTheSearch:
                 MechanismMode.REDISTRIBUTE} <= kinds
 
 
-def reference_sweep_parameter(scenario, spec, epsilon=0.0):
+def reference_sweep_parameter(scenario, path, values, observables=OBSERVABLES, epsilon=0.0):
     """sweep_parameter as it was before the game was patched per point: a
     set_by_path and a full compile at every grid value, and a fresh Nash set
     list per row."""
-    observables = set(spec.observables)
+    observables = set(observables)
     rows = []
-    for value in spec.grid():
-        s = set_by_path(scenario, spec.parameter_path, value)
+    for value in sorted(map(float, values)):
+        s = set_by_path(scenario, path, value)
         tables = payoff_tables(s)
         row = {"value": value}
         if NASH_OBSERVABLES & observables:
@@ -386,10 +363,9 @@ class TestPatchedTables:
             kinds.add(type(s.benefit).__name__)
             for path in numeric_paths(s):
                 values = path_values(rng, s, path)
-                spec = SweepSpec(parameter_path=path, values=values,
-                                 observables=("classification", "flip_margins"))
-                assert repr(sweep_parameter(s, spec)) == repr(
-                    reference_sweep_parameter(s, spec))
+                observables = ("classification", "flip_margins")
+                assert repr(sweep_parameter(s, path, values, observables)) == repr(
+                    reference_sweep_parameter(s, path, values, observables))
                 lo, hi = min(values), max(values)
                 if lo < hi:
                     try:
@@ -441,9 +417,8 @@ class TestPatchedTables:
             at(get_by_path(s, path))
         if path == "benefit.tau" and not bad.is_integer():
             return  # a sweep refuses this grid up front
-        spec = SweepSpec(parameter_path=path, values=(get_by_path(s, path), bad))
         with pytest.raises(ScenarioError) as got:
-            sweep_parameter(s, spec)
+            sweep_parameter(s, path, (get_by_path(s, path), bad))
         assert str(got.value) == str(expected.value)
 
 
@@ -461,10 +436,10 @@ class TestSweepRowsAsBefore:
             path, lo, hi = swept_path(s)
             observables = (OBSERVABLES, ("nash_set",))[trial % 2]
             epsilon = (0.0, 0.25)[trial % 3 == 1]
-            spec = SweepSpec(parameter_path=path, lo=lo, hi=hi, steps=21,
-                             observables=observables)
-            rows = sweep_parameter(s, spec, epsilon=epsilon)
-            assert repr(rows) == repr(reference_sweep_parameter(s, spec, epsilon))
+            grid = sweep_grid(lo, hi, 21)
+            rows = sweep_parameter(s, path, grid, observables, epsilon=epsilon)
+            assert repr(rows) == repr(
+                reference_sweep_parameter(s, path, grid, observables, epsilon))
             lists = [id(row["nash_set"]) for row in rows]
             assert len(set(lists)) == len(rows)
             nash_sets += sum(a["nash_set"] == b["nash_set"] for a, b in zip(rows, rows[1:]))
@@ -474,9 +449,9 @@ class TestSweepRowsAsBefore:
         for s in interchangeable_edge_scenarios():
             for path in numeric_paths(s):
                 value = get_by_path(s, path)
-                spec = SweepSpec(parameter_path=path, values=(value, value, value / 2 + 0.5))
-                assert repr(sweep_parameter(s, spec)) == repr(
-                    reference_sweep_parameter(s, spec))
+                values = (value, value, value / 2 + 0.5)
+                assert repr(sweep_parameter(s, path, values)) == repr(
+                    reference_sweep_parameter(s, path, values))
 
     def test_an_integer_grid_is_refused_before_any_point(self, monkeypatch):
         import wardgames.sweep as sweep
@@ -488,13 +463,13 @@ class TestSweepRowsAsBefore:
         message = ("parameter path 'benefit.tau' names an integer field, but the grid "
                    "of 3 points includes 2.5")
         with pytest.raises(ScenarioError, match=re.escape(message)):
-            sweep_parameter(s, SweepSpec("benefit.tau", lo=1, hi=4, steps=3))
+            sweep_parameter(s, "benefit.tau", sweep_grid(1, 4, 3))
         with pytest.raises(ScenarioError, match=re.escape(
                 "names an integer field, but the grid of 2 points includes 3.5")):
-            sweep_parameter(s, SweepSpec("benefit.tau", values=(1.0, 3.5)))
+            sweep_parameter(s, "benefit.tau", (1.0, 3.5))
         assert analysed == []
         monkeypatch.undo()
-        rows = sweep_parameter(s, SweepSpec("benefit.tau", lo=1, hi=4, steps=4))
+        rows = sweep_parameter(s, "benefit.tau", sweep_grid(1, 4, 4))
         assert [row["value"] for row in rows] == [1.0, 2.0, 3.0, 4.0]
 
 
@@ -525,13 +500,9 @@ class TestNashSetsOfAnySize:
         s = symmetric_scenario(
             30, 2.0, 1.0, LinearBenefit(0.3), [Observability(0.5, 0.0, 1.4)]
         )
-        spec = SweepSpec(
-            parameter_path="interventions[0].penalty",
-            values=(1.0, 1.4, 2.0),
-            observables=("classification", "welfare_gap"),
-        )
         start = time.perf_counter()
-        rows = sweep_parameter(s, spec)
+        rows = sweep_parameter(s, "interventions[0].penalty", (1.0, 1.4, 2.0),
+                               observables=("classification", "welfare_gap"))
         assert time.perf_counter() - start < 1.0
         for row in rows:
             point = set_by_path(s, "interventions[0].penalty", row["value"])
@@ -547,8 +518,7 @@ class TestNashSetsOfAnySize:
         from wardgames.interventions import payoff_tables
 
         s = symmetric_scenario(14, 2.0, 1.0, ThresholdBenefit(tau=7, beta=3.0))
-        spec = SweepSpec(parameter_path="benefit.beta", lo=2.0, hi=4.0, steps=21,
-                         observables=("nash_set", "flip_margins"))
+        grid = sweep_grid(2.0, 4.0, 21)
         compiles = []
         built = []
         post_init = ActionProfile.__post_init__
@@ -564,7 +534,8 @@ class TestNashSetsOfAnySize:
         monkeypatch.setattr(sweep, "payoff_tables", counting_tables)
         monkeypatch.setattr(equilibrium, "payoff_tables", counting_tables)
         monkeypatch.setattr(ActionProfile, "__post_init__", counting_post_init)
-        rows = sweep_parameter(s, spec)
+        rows = sweep_parameter(s, "benefit.beta", grid,
+                               observables=("nash_set", "flip_margins"))
         monkeypatch.undo()
         assert len(compiles) == 1
         assert len(built) <= 2 * 21
