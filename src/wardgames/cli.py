@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .dynamics import (
-    MAX_RK4_STEPS,
     SCHEDULES,
     TIE_BREAKS,
     DynamicsTrace,
@@ -52,18 +51,16 @@ from .model import (
     TableBenefit,
     ThresholdBenefit,
     Ward,
+    check_epsilon,
     profile_string,
     validate_scenario,
 )
 from .sweep import (
-    MAX_GRID_POINTS,
     NASH_OBSERVABLES,
     OBSERVABLES,
     ThresholdResult,
-    check_observables,
     critical_threshold,
     get_by_path,
-    normalize_predicate,
     sweep_grid,
     sweep_parameter,
 )
@@ -214,12 +211,18 @@ def _field_values(cls: type, obj: Any, path: str, n: int, omit: tuple[str, ...] 
     return {k: conv(obj[k], f"{path}.{k}", n) for k, conv in coerce if k in obj}
 
 
-def _build(make: Callable[..., Any], path: str, **kwargs: Any) -> Any:
-    """make(**kwargs), a class or a parser; a check it fails names `path`."""
+def _build(make: Callable[..., Any], source: str | dict[str, str], **kwargs: Any) -> Any:
+    """make(**kwargs). A check it fails names `source`, a path or flag, or,
+    from a map of argument names to those, the sources of the arguments it
+    refused; a refusal that names no mapped argument passes through as it is."""
     try:
         return make(**kwargs)
     except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+        if isinstance(source, dict):
+            source = " / ".join(dict.fromkeys(source[n] for n in exc.names if n in source))
+        if not source:
+            raise
+        raise ScenarioError(f"{source}: {exc}") from None
 
 
 def _parse_kind(kinds: dict[str, type], obj: Any, path: str, n: int) -> Any:
@@ -228,29 +231,6 @@ def _parse_kind(kinds: dict[str, type], obj: Any, path: str, n: int) -> Any:
     ok = isinstance(kind, str) and kind in kinds
     _require(ok, f"{path}.kind", f"expected one of {'/'.join(kinds)}, got {kind!r}")
     return _build(kinds[kind], path, **_field_values(kinds[kind], obj, path, n))
-
-
-def _nonnegative(value: float, path: str) -> float:
-    _require(
-        math.isfinite(value) and value >= 0,
-        path,
-        f"expected a finite number >= 0, got {value!r}",
-    )
-    return value
-
-
-def _positive(value: float, path: str) -> float:
-    _require(
-        math.isfinite(value) and value > 0,
-        path,
-        f"expected a finite number > 0, got {value!r}",
-    )
-    return value
-
-
-def _at_least_one(value: int, path: str) -> int:
-    _require(value >= 1, path, f"expected an integer >= 1, got {value!r}")
-    return value
 
 
 def _parse_wards(spec: Any, n: int) -> tuple[Ward, ...]:
@@ -293,10 +273,13 @@ def parse_scenario_document(doc: dict) -> tuple[Scenario, RunOptions]:
         Scenario, "document", wards=wards, benefit=benefit, interventions=interventions
     )
     options = RunOptions(**_field_values(RunOptions, doc.get("options", {}), "options", n))
-    _nonnegative(options.epsilon, "options.epsilon")
-    _positive(options.dt, "options.dt")
-    _nonnegative(options.t_end, "options.t_end")
-    _at_least_one(options.max_iters, "options.max_iters")
+    _build(check_epsilon, "options.epsilon", epsilon=options.epsilon)
+    dt, t_end, max_iters = options.dt, options.t_end, options.max_iters
+    _require(math.isfinite(dt) and dt > 0, "options.dt",
+             f"expected a finite number > 0, got {dt!r}")
+    _require(math.isfinite(t_end) and t_end >= 0, "options.t_end",
+             f"expected a finite number >= 0, got {t_end!r}")
+    _require(max_iters >= 1, "options.max_iters", f"expected an integer >= 1, got {max_iters!r}")
     return scenario, options
 
 
@@ -632,20 +615,18 @@ def _require_nash_size(scenario: Scenario) -> None:
              f"{MAX_NASH_WARDS} wards, got {scenario.n}: each analysis costs O(N^2)")
 
 
-def _setting(args: argparse.Namespace, options: RunOptions, name: str,
-             check: Callable[[Any, str], Any]) -> tuple[Any, str]:
-    """(value, path) of a run setting: its flag if given, checked, else its option."""
+def _setting(args: argparse.Namespace, options: RunOptions, name: str) -> tuple[Any, str]:
+    """(value, source) of a run setting: its flag if given, else its option."""
     if getattr(args, name) is None:
         return getattr(options, name), f"options.{name}"
-    flag = "--" + name.replace("_", "-")
-    return check(getattr(args, name), flag), flag
+    return getattr(args, name), "--" + name.replace("_", "-")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     scenario, options, warnings = _load_with_diagnostics(args.scenario)
     _require_nash_size(scenario)
-    epsilon = _setting(args, options, "epsilon", _nonnegative)[0]
-    eq = enumerate_nash(scenario, epsilon=epsilon)
+    epsilon, eps_path = _setting(args, options, "epsilon")
+    eq = _build(enumerate_nash, {"epsilon": eps_path}, scenario=scenario, epsilon=epsilon)
     flip = flip_conditions(scenario, epsilon=epsilon)
     sys.stdout.write(format_analysis_text(scenario, eq, flip))
     if args.out:
@@ -660,20 +641,12 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         try:
             x0 = float(args.initial)
         except ValueError:
-            x0 = math.nan
-        if not 0.0 <= x0 <= 1.0:
-            raise ScenarioError(
-                f"--initial must be a share in [0, 1] with --replicator, got "
-                f"{args.initial!r}"
-            )
-        t_end, t_path = _setting(args, options, "t_end", _nonnegative)
-        dt, dt_path = _setting(args, options, "dt", _positive)
-        _require(
-            t_end / dt <= MAX_RK4_STEPS,
-            f"{t_path} / {dt_path}",
-            f"{t_end} / {dt} needs more than {MAX_RK4_STEPS} RK4 steps",
-        )
-        result = integrate_replicator(scenario, x0, t_end=t_end, dt=dt)
+            raise ScenarioError(f"--initial: expected a number with --replicator, "
+                                f"got {args.initial!r}") from None
+        t_end, t_path = _setting(args, options, "t_end")
+        dt, dt_path = _setting(args, options, "dt")
+        result = _build(integrate_replicator, {"x0": "--initial", "t_end": t_path, "dt": dt_path},
+                        scenario=scenario, x0=x0, t_end=t_end, dt=dt)
         _write_output(replicator_to_csv(result), args.out)
         for fp in result.fixed_points:
             print(
@@ -686,21 +659,22 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
             )
         return EXIT_OK
     profile = _build(ActionProfile.from_string, "--initial", text=args.initial)
-    _require(len(profile) == scenario.n, "--initial",
-             f"initial profile length {len(profile)} does not match {scenario.n} wards")
-    max_iters, iters_path = _setting(args, options, "max_iters", _at_least_one)
+    max_iters, iters_path = _setting(args, options, "max_iters")
     _require(scenario.n * (max_iters + 1) <= MAX_TRACE_CELLS, iters_path,
              f"{scenario.n} wards x ({max_iters} + 1) trace rows exceed "
              f"{MAX_TRACE_CELLS} CSV cells")
+    epsilon, eps_path = _setting(args, options, "epsilon")
     seed = args.seed if args.seed is not None else options.rng_seed
-    trace = best_response_dynamics(
-        scenario,
-        profile,
+    trace = _build(
+        best_response_dynamics,
+        {"initial": "--initial", "max_iters": iters_path, "epsilon": eps_path},
+        scenario=scenario,
+        initial=profile,
         schedule=args.schedule,
         max_iters=max_iters,
         tie_break=args.tie_break,
         seed=seed,
-        epsilon=_setting(args, options, "epsilon", _nonnegative)[0],
+        epsilon=epsilon,
     )
     _write_output(trace_to_csv(trace), args.out)
     print(
@@ -712,34 +686,25 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario, options, _ = _load_with_diagnostics(args.scenario)
-    epsilon = _setting(args, options, "epsilon", _nonnegative)[0]
-    _require(math.isfinite(args.lo) and math.isfinite(args.hi), "--lo/--hi",
-             f"need finite bounds, got lo={args.lo}, hi={args.hi}")
-    _require(args.lo < args.hi, "--lo/--hi", f"need lo < hi, got lo={args.lo}, hi={args.hi}")
+    epsilon, eps_path = _setting(args, options, "epsilon")
+    flags = {"lo": "--lo/--hi", "hi": "--lo/--hi", "steps": "--steps", "epsilon": eps_path,
+             "predicate": "--predicate", "observables": "--observables"}
     if args.critical:
         if not args.predicate:
             raise ScenarioError("--critical requires --predicate")
-        predicate = _build(normalize_predicate, "--predicate", name=args.predicate)
-        result = critical_threshold(
-            scenario, args.path, args.lo, args.hi, predicate, epsilon=epsilon
-        )
+        result = _build(critical_threshold, flags, scenario=scenario, parameter_path=args.path,
+                        lo=args.lo, hi=args.hi, predicate=args.predicate, epsilon=epsilon)
         doc = threshold_result_dict(result, scenario, options, args.path)
         _write_output(_dump_json(doc), args.out)
         return EXIT_OK
-    _require(
-        2 <= args.steps <= MAX_GRID_POINTS,
-        "--steps",
-        f"expected an integer in [2, {MAX_GRID_POINTS}], got {args.steps}",
-    )
+    grid = _build(sweep_grid, flags, lo=args.lo, hi=args.hi, steps=args.steps)
     observables = tuple(args.observables.split(","))
-    _build(check_observables, "--observables", observables=observables)
     if NASH_OBSERVABLES & set(observables):
         _require_nash_size(scenario)
     if "flip_margins" in observables:
         _require(scenario.n * args.steps <= MAX_MARGIN_CELLS, "--steps",
                  f"{scenario.n} wards x {args.steps} grid points exceed "
                  f"{MAX_MARGIN_CELLS} flip-margin cells")
-    grid = sweep_grid(args.lo, args.hi, args.steps)  # its bounds and steps are checked above
     if isinstance(get_by_path(scenario, args.path), int):  # such as benefit.tau
         _require(args.lo.is_integer() and args.hi.is_integer(), "--lo/--hi",
                  f"{args.path!r} names an integer field; got lo={args.lo}, hi={args.hi}")
@@ -747,7 +712,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _require(off is None, "--steps",
                  f"{args.path!r} names an integer field, but {args.steps} points over "
                  f"[{args.lo}, {args.hi}] include {off}; steps - 1 must divide hi - lo")
-    rows = sweep_parameter(scenario, args.path, grid, observables, epsilon=epsilon)
+    rows = _build(sweep_parameter, flags, scenario=scenario, parameter_path=args.path,
+                  values=grid, observables=observables, epsilon=epsilon)
     _write_output(sweep_rows_to_csv(rows, observables, scenario.n), args.out)
     return EXIT_OK
 

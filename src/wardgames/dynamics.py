@@ -112,14 +112,13 @@ def best_response_dynamics(
         raise ScenarioError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
     if tie_break not in TIE_BREAKS:
         raise ScenarioError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
-    if max_iters < 1:
-        raise ScenarioError(f"max_iters must be >= 1, got {max_iters}")
-    check_epsilon(epsilon)
     n = scenario.n
     if len(initial) != n:
         raise ScenarioError(
-            f"initial profile length {len(initial)} does not match {n} wards"
-        )
+            f"initial profile length {len(initial)} does not match {n} wards", ("initial",))
+    if max_iters < 1:
+        raise ScenarioError(f"max_iters must be >= 1, got {max_iters}", ("max_iters",))
+    check_epsilon(epsilon)
     if schedule == "random" and seed is None:
         raise ScenarioError("the random schedule requires an explicit seed")
     tables = payoff_tables(scenario)
@@ -354,15 +353,14 @@ def integrate_replicator(
     append rows without evaluating the gain until h changes (the last step).
     """
     if not 0.0 <= x0 <= 1.0:
-        raise ScenarioError(f"x0 must lie in [0, 1], got {x0}")
-    if not (dt > 0.0 and math.isfinite(dt) and t_end >= 0.0 and math.isfinite(t_end)):
-        raise ScenarioError(
-            f"need a finite dt > 0 and a finite t_end >= 0, got dt={dt}, t_end={t_end}"
-        )
+        raise ScenarioError(f"x0 must lie in [0, 1], got {x0}", ("x0",))
+    if not (t_end >= 0.0 and math.isfinite(t_end)):
+        raise ScenarioError(f"t_end must be a finite number >= 0, got {t_end}", ("t_end",))
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ScenarioError(f"dt must be a finite number > 0, got {dt}", ("dt",))
     if t_end / dt > MAX_RK4_STEPS:
-        raise ScenarioError(
-            f"t_end={t_end} with dt={dt} needs more than {MAX_RK4_STEPS} RK4 steps"
-        )
+        raise ScenarioError(f"t_end={t_end} with dt={dt} needs more than {MAX_RK4_STEPS} "
+                            "RK4 steps", ("t_end", "dt"))
     g = [e - b for e, b in zip(*_replicator_tables(scenario))]
     gain = _binomial_mean(g)  # c[0] / c[m] outside [0, 1]: no clamp needed
 

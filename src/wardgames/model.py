@@ -278,7 +278,8 @@ def check_epsilon(epsilon: float) -> None:
     """Refuse a tie tolerance that is not a finite number >= 0: a NaN or a
     negative one makes every comparison with it wrong without comment."""
     if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ScenarioError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+        raise ScenarioError(f"epsilon must be a finite number >= 0, got {epsilon!r}",
+                            ("epsilon",))
 
 
 def welfare(scenario: Scenario, profile: ActionProfile) -> float:

@@ -32,25 +32,25 @@ MAX_GRID_POINTS = 10**5
 _PATH_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
 
 
+def _check_bounds(lo: float, hi: float) -> None:
+    """Refuse an interval [lo, hi] that is not finite with lo < hi."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ScenarioError(f"need finite bounds, got lo={lo}, hi={hi}", ("lo", "hi"))
+    if not lo < hi:
+        raise ScenarioError(f"need lo < hi, got lo={lo}, hi={hi}", ("lo", "hi"))
+
+
 def sweep_grid(lo: float, hi: float, steps: int) -> list[float]:
     """`steps` evenly spaced values from lo to hi, both ends included."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ScenarioError(f"need finite lo and hi, got lo={lo}, hi={hi}")
-    if not lo < hi:
-        raise ScenarioError(f"need lo < hi, got lo={lo}, hi={hi}")
-    if not 2 <= steps <= MAX_GRID_POINTS:
-        raise ScenarioError(f"steps must lie in [2, {MAX_GRID_POINTS}], got {steps}")
+    _check_bounds(lo, hi)
+    if not (type(steps) is int and 2 <= steps <= MAX_GRID_POINTS):  # a bool is not a count
+        raise ScenarioError(
+            f"steps must be an integer in [2, {MAX_GRID_POINTS}], got {steps!r}", ("steps",))
     last = steps - 1
     if math.isfinite((hi - lo) * last):
         return [lo + (hi - lo) * i / last for i in range(steps)]
     # the span or a multiple of it overflows; a weighted mean of lo and hi cannot
     return [lo * (1 - i / last) + hi * (i / last) for i in range(steps)]
-
-
-def check_observables(observables: tuple[str, ...]) -> None:
-    bad = [o for o in observables if o not in OBSERVABLES]
-    if bad:
-        raise ScenarioError(f"unknown observables {bad}; valid: {OBSERVABLES}")
 
 
 def _tokens(path: str) -> list[tuple[str, int | None]]:
@@ -165,7 +165,10 @@ def sweep_parameter(
     if len(grid) > MAX_GRID_POINTS:
         raise ScenarioError(
             f"{len(grid)} sweep values exceed the cap of {MAX_GRID_POINTS}")
-    check_observables(observables)
+    bad = [o for o in observables if o not in OBSERVABLES]
+    if bad:
+        raise ScenarioError(f"unknown observables {bad}; valid: {OBSERVABLES}",
+                            ("observables",))
     at, integer = _patcher(scenario, parameter_path)
     off = next((v for v in grid if integer and not v.is_integer()), None)
     if off is not None:
@@ -226,8 +229,7 @@ def normalize_predicate(name: str) -> str:
     key = re.sub(r"_is_", "_", key)
     if key not in PREDICATES:
         raise ScenarioError(
-            f"unknown predicate {name!r}; valid: {sorted(PREDICATES)}"
-        )
+            f"unknown predicate {name!r}; valid: {sorted(PREDICATES)}", ("predicate",))
     return key
 
 
@@ -253,17 +255,16 @@ def critical_threshold(
 ) -> ThresholdResult:
     """The two adjacent parameter values in [lo, hi] where the predicate flips.
 
-    The predicate must differ at lo and hi. The search runs over the
-    parameter's values in order (floats by bit pattern, or the integers of
-    an integer field): it gallops out from a hint until the predicate
-    changes, then bisects. Every step keeps the predicate's value at lo at
+    lo and hi must be finite with lo < hi, and the predicate must differ at
+    them. The search runs over the parameter's values in order (floats by
+    bit pattern, or the integers of an integer field): it gallops out from
+    a hint until the predicate changes, then bisects. Every step keeps the predicate's value at lo at
     the lower end and its other value at the upper end, so the search ends
     at two adjacent values where the predicate differs, monotone or not.
     Boundaries are evaluated with weak-Nash semantics.
     """
     check_epsilon(epsilon)
-    if not lo < hi:
-        raise ScenarioError(f"need lo < hi, got lo={lo}, hi={hi}")
+    _check_bounds(lo, hi)
     key = normalize_predicate(predicate)
     pred = PREDICATES[key]
     at, integer = _patcher(scenario, parameter_path)

@@ -87,10 +87,10 @@ class TestParser:
         epsilons = []
         setting = cli._setting
 
-        def spy(args, options, name, check):
+        def spy(args, options, name):
             if name == "epsilon":
                 epsilons.append(args.epsilon)
-            return setting(args, options, name, check)
+            return setting(args, options, name)
 
         monkeypatch.setattr(cli, "_setting", spy)
         scenario = str(SCENARIOS / "s0_baseline.json")
@@ -484,7 +484,7 @@ class TestIntegrationBounds:
         argv = ["dynamics", str(SCENARIOS / "s0_baseline.json"), "--initial", "EEEE"]
         assert main([*argv, "--max-iters", "-3"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: --max-iters: expected an integer >= 1, got -3\n"
+        assert captured.err == "error: --max-iters: max_iters must be >= 1, got -3\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("initial", ["nan", "-0.5", "1.5", "half"])
@@ -492,10 +492,9 @@ class TestIntegrationBounds:
         argv = ["dynamics", str(SCENARIOS / "v0_veto.json"), "--replicator"]
         assert main([*argv, "--initial", initial]) == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            "error: --initial must be a share in [0, 1] with --replicator, "
-            f"got {initial!r}\n"
-        )
+        why = ("expected a number with --replicator, got 'half'" if initial == "half"
+               else f"x0 must lie in [0, 1], got {float(initial)}")
+        assert captured.err == f"error: --initial: {why}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("steps", ["1", "100001", "100000000"])
@@ -625,6 +624,7 @@ class TestFlagErrors:
     S0 = str(SCENARIOS / "s0_baseline.json")
     SWEEP = ["sweep", OBS, "--path", "interventions[0].penalty"]
     CRITICAL = ["--critical", "--predicate", "all_buffer_not_nash"]
+    REPLICATOR = ["dynamics", str(SCENARIOS / "v0_veto.json"), "--replicator"]
 
     @pytest.mark.parametrize(
         "argv, line",
@@ -649,6 +649,45 @@ class TestFlagErrors:
              "--lo/--hi: need finite bounds, got lo=-inf, hi=1.0"),
             (SWEEP + ["--lo", "nan", "--hi", "1"],
              "--lo/--hi: need finite bounds, got lo=nan, hi=1.0"),
+            (SWEEP + ["--lo", "0", "--hi", "nan"] + CRITICAL,
+             "--lo/--hi: need finite bounds, got lo=0.0, hi=nan"),
+            (SWEEP + ["--lo", "1", "--hi", "1"],
+             "--lo/--hi: need lo < hi, got lo=1.0, hi=1.0"),
+            (SWEEP + ["--lo", "0", "--hi", "1", "--steps", "1"],
+             "--steps: steps must be an integer in [2, 100000], got 1"),
+            (SWEEP + ["--lo", "0", "--hi", "1", "--steps", "100001"],
+             "--steps: steps must be an integer in [2, 100000], got 100001"),
+            (SWEEP + ["--lo", "0", "--hi", "1", "--observables", "classification,gap"],
+             "--observables: unknown observables ['gap']; valid: "
+             "('nash_set', 'classification', 'welfare_gap', 'flip_margins')"),
+            (["dynamics", S0, "--initial", "EEEEE", "--max-iters", "0"],
+             "--initial: initial profile length 5 does not match 4 wards"),
+            (REPLICATOR + ["--initial", "1.5"], "--initial: x0 must lie in [0, 1], got 1.5"),
+            (REPLICATOR + ["--initial", "EEBB"],
+             "--initial: expected a number with --replicator, got 'EEBB'"),
+            (REPLICATOR + ["--initial", "0.5", "--dt", "0"],
+             "--dt: dt must be a finite number > 0, got 0.0"),
+            (REPLICATOR + ["--initial", "0.5", "--dt", "nan"],
+             "--dt: dt must be a finite number > 0, got nan"),
+            (REPLICATOR + ["--initial", "0.5", "--t-end", "-1"],
+             "--t-end: t_end must be a finite number >= 0, got -1.0"),
+            (REPLICATOR + ["--initial", "0.5", "--t-end", "inf", "--dt", "0"],
+             "--t-end: t_end must be a finite number >= 0, got inf"),
+            (REPLICATOR + ["--initial", "0.5", "--dt", "1e-300", "--t-end", "1"],
+             "--t-end / --dt: t_end=1.0 with dt=1e-300 needs more than 1000000 RK4 steps"),
+            (REPLICATOR + ["--initial", "0.5", "--dt", "1e-7"],
+             "options.t_end / --dt: t_end=50.0 with dt=1e-07 needs more than 1000000 "
+             "RK4 steps"),
+            (["dynamics", S0, "--initial", "EEEE", "--max-iters", "0"],
+             "--max-iters: max_iters must be >= 1, got 0"),
+            (["dynamics", S0, "--initial", "EEEE", "--epsilon", "nan"],
+             "--epsilon: epsilon must be a finite number >= 0, got nan"),
+            (["analyze", S0, "--epsilon=-1"],
+             "--epsilon: epsilon must be a finite number >= 0, got -1.0"),
+            (SWEEP + ["--lo", "0", "--hi", "1", "--epsilon=-1"],
+             "--epsilon: epsilon must be a finite number >= 0, got -1.0"),
+            (SWEEP + ["--lo", "0", "--hi", "1", "--epsilon=-1"] + CRITICAL,
+             "--epsilon: epsilon must be a finite number >= 0, got -1.0"),
         ],
     )
     def test_message_names_the_flag(self, argv, line, capsys):

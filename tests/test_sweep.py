@@ -180,7 +180,7 @@ class TestSweep:
         (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
     ])
     def test_non_finite_bounds_rejected(self, lo, hi):
-        with pytest.raises(ScenarioError, match="need finite lo and hi"):
+        with pytest.raises(ScenarioError, match="need finite bounds"):
             sweep_grid(lo, hi, 3)
 
     def test_grid_capped(self):
