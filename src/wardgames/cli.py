@@ -71,9 +71,11 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-# Larger n_wards is refused before any ward is built: the symmetric shorthand
-# builds one Ward per declared ward (10^6 took 4.9 s and 224 MB), and no
-# analysis here is useful at that size.
+# Larger n_wards is refused before any ward is built: no analysis here is
+# useful at that size, and the O(N) payoff tables alone grow with it. Parse,
+# validate_scenario and payoff_tables of a symmetric document took 0.10-0.14 s
+# and 42 MB peak RSS at 10^5 wards, 1.4-1.7 s and 269 MB at 10^6, nearly all
+# of it in the tables (2-core x86-64 host, Python 3.11).
 MAX_WARDS = 10**5
 
 # Larger scenarios are refused by analyze, report and Nash-observable sweeps
@@ -151,21 +153,15 @@ def _integer(v: Any, path: str) -> int:
     return v
 
 
-def _numbers(v: list, path: str, count: int, expected: str) -> tuple[float, ...]:
-    _require(len(v) == count, path, f"expected {expected}, got {len(v)}")
+def _numbers(v: Any, path: str) -> tuple[float, ...]:
+    _require(isinstance(v, list), path, "expected a list")
     return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(v))
 
 
-def _benefit_values(v: Any, path: str, n: int) -> tuple[float, ...]:
-    """A number list alone is a benefit table, B(0) .. B(n)."""
-    _require(isinstance(v, list), path, "expected a list")
-    return _numbers(v, path, n + 1, f"exactly {n + 1} entries for {n} wards")
-
-
-def _per_ward(v: Any, path: str, n: int) -> float | tuple[float, ...]:
+def _per_ward(v: Any, path: str) -> float | tuple[float, ...]:
     """One number for every ward, or a list of one per ward."""
     if isinstance(v, list):
-        return _numbers(v, path, n, f"{n} per-ward entries")
+        return _numbers(v, path)
     _require(_is_number(v), path, f"expected a number or list, got {v!r}")
     return float(v)
 
@@ -176,27 +172,27 @@ def _mode(v: Any, path: str) -> MechanismMode:
     return MechanismMode(v)
 
 
-# how a document value is checked and converted, by the field's annotation
-_COERCE: dict[Any, Callable[[Any, str, int], Any]] = {
-    float: lambda v, path, n: _number(v, path),
-    int: lambda v, path, n: _integer(v, path),
-    tuple[float, ...]: _benefit_values,
+# how a document value is checked and converted, by the field's annotation;
+# list lengths are the scenario's to check
+_COERCE: dict[Any, Callable[[Any, str], Any]] = {
+    float: _number,
+    int: _integer,
+    tuple[float, ...]: _numbers,
     float | tuple[float, ...]: _per_ward,
-    MechanismMode: lambda v, path, n: _mode(v, path),
+    MechanismMode: _mode,
 }
 
 
 @functools.cache
-def _schema(cls: type, omit: tuple[str, ...] = ()) -> tuple[tuple, frozenset, frozenset]:
+def _schema(cls: type) -> tuple[tuple, frozenset, frozenset]:
     """((name, coerce) per field in declaration order, allowed keys,
     required keys) of the document form of `cls`.
 
-    Fields in `omit` are not document keys; a class with a kind also takes
-    `kind`. A field is required when it has no default, or when its
-    metadata says that documents must give it.
+    A class with a kind also takes `kind`. A field is required when it has
+    no default, or when its metadata says that documents must give it.
     """
     hints = typing.get_type_hints(cls)
-    doc = [f for f in fields(cls) if f.name not in omit]
+    doc = fields(cls)
     required = {f.name for f in doc if f.metadata.get("required")
                 or (f.default is MISSING and f.default_factory is MISSING)}
     allowed = {f.name for f in doc} | ({"kind"} if cls in _KIND_NAMES else set())
@@ -204,11 +200,11 @@ def _schema(cls: type, omit: tuple[str, ...] = ()) -> tuple[tuple, frozenset, fr
     return coerce, frozenset(allowed), frozenset(required)
 
 
-def _field_values(cls: type, obj: Any, path: str, n: int, omit: tuple[str, ...] = ()) -> dict:
+def _field_values(cls: type, obj: Any, path: str) -> dict:
     """Checked constructor arguments of `cls` from a document object."""
-    coerce, allowed, required = _schema(cls, omit)
+    coerce, allowed, required = _schema(cls)
     _check_keys(obj, allowed, required, path)
-    return {k: conv(obj[k], f"{path}.{k}", n) for k, conv in coerce if k in obj}
+    return {k: conv(obj[k], f"{path}.{k}") for k, conv in coerce if k in obj}
 
 
 def _build(make: Callable[..., Any], source: str | dict[str, str], **kwargs: Any) -> Any:
@@ -225,29 +221,29 @@ def _build(make: Callable[..., Any], source: str | dict[str, str], **kwargs: Any
         raise ScenarioError(f"{source}: {exc}") from None
 
 
-def _parse_kind(kinds: dict[str, type], obj: Any, path: str, n: int) -> Any:
+def _parse_kind(kinds: dict[str, type], obj: Any, path: str) -> Any:
     _require(isinstance(obj, dict), path, "expected an object")
     kind = obj.get("kind")
     ok = isinstance(kind, str) and kind in kinds
     _require(ok, f"{path}.kind", f"expected one of {'/'.join(kinds)}, got {kind!r}")
-    return _build(kinds[kind], path, **_field_values(kinds[kind], obj, path, n))
+    return _parse(kinds[kind], obj, path)
+
+
+def _parse(cls: type, obj: Any, path: str) -> Any:
+    """A `cls` from a document object; every refusal names `path` or a path below it."""
+    return _build(cls, path, **_field_values(cls, obj, path))
 
 
 def _parse_wards(spec: Any, n: int) -> tuple[Ward, ...]:
-    """A ward's id is its position, never a document key."""
+    """The shorthand's one ward n times, or a list of n wards."""
     if isinstance(spec, dict):
         _check_keys(spec, {"symmetric"}, {"symmetric"}, "wards")
-        costs = _field_values(Ward, spec["symmetric"], "wards.symmetric", n, ("id",))
-        return tuple(_build(Ward, "wards.symmetric", id=i, **costs) for i in range(n))
+        return (_parse(Ward, spec["symmetric"], "wards.symmetric"),) * n
     _require(isinstance(spec, list), "wards", "expected an object or a list")
     _require(
         len(spec) == n, "wards", f"expected {n} entries (n_wards), got {len(spec)}"
     )
-    wards = []
-    for i, w in enumerate(spec):
-        path = f"wards[{i}]"
-        wards.append(_build(Ward, path, id=i, **_field_values(Ward, w, path, n, ("id",))))
-    return tuple(wards)
+    return tuple(_parse(Ward, w, f"wards[{i}]") for i, w in enumerate(spec))
 
 
 def parse_scenario_document(doc: dict) -> tuple[Scenario, RunOptions]:
@@ -262,17 +258,16 @@ def parse_scenario_document(doc: dict) -> tuple[Scenario, RunOptions]:
     _require(n >= 2, "n_wards", f"need at least 2 wards, got {n}")
     _require(n <= MAX_WARDS, "n_wards", f"at most {MAX_WARDS} wards are supported, got {n}")
     wards = _parse_wards(doc["wards"], n)
-    benefit = _parse_kind(_BENEFIT_KINDS, doc["benefit"], "benefit", n)
+    benefit = _parse_kind(_BENEFIT_KINDS, doc["benefit"], "benefit")
     ivs_doc = doc.get("interventions", [])
     _require(isinstance(ivs_doc, list), "interventions", "expected a list")
     interventions = tuple(
-        _parse_kind(_INTERVENTION_KINDS, iv, f"interventions[{i}]", n)
+        _parse_kind(_INTERVENTION_KINDS, iv, f"interventions[{i}]")
         for i, iv in enumerate(ivs_doc)
     )
-    scenario = _build(
-        Scenario, "document", wards=wards, benefit=benefit, interventions=interventions
-    )
-    options = RunOptions(**_field_values(RunOptions, doc.get("options", {}), "options", n))
+    # Scenario's own refusals name their document paths
+    scenario = Scenario(wards=wards, benefit=benefit, interventions=interventions)
+    options = RunOptions(**_field_values(RunOptions, doc.get("options", {}), "options"))
     _build(check_epsilon, "options.epsilon", epsilon=options.epsilon)
     dt, t_end, max_iters = options.dt, options.t_end, options.max_iters
     _require(math.isfinite(dt) and dt > 0, "options.dt",
@@ -300,18 +295,18 @@ def load_scenario(path: str | Path) -> Scenario:
     return load_scenario_document(path)[0]
 
 
-def _document(obj: Any, *omit: str) -> dict:
+def _document(obj: Any) -> dict:
     """The fields of `obj` in declaration order, led by its kind if it has
     one; tuples become lists and enums their values."""
     cls = type(obj)
     out: dict[str, Any] = {"kind": _KIND_NAMES[cls]} if cls in _KIND_NAMES else {}
-    for name in (f.name for f in fields(obj) if f.name not in omit):
-        v = getattr(obj, name)
+    for f in fields(obj):
+        v = getattr(obj, f.name)
         if isinstance(v, tuple):
             v = list(v)
         elif isinstance(v, Enum):
             v = v.value
-        out[name] = v
+        out[f.name] = v
     return out
 
 
@@ -319,7 +314,7 @@ def scenario_to_dict(scenario: Scenario, options: RunOptions | None = None) -> d
     """Resolved, round-trippable document form of a scenario."""
     out: dict[str, Any] = {
         "n_wards": scenario.n,
-        "wards": [_document(w, "id") for w in scenario.wards],
+        "wards": [_document(w) for w in scenario.wards],
         "benefit": _document(scenario.benefit),
         "interventions": [_document(iv) for iv in scenario.interventions],
     }

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 from .errors import NumericalError, ScenarioError
 from .interventions import payoff_tables
-from .model import Action, ActionProfile, Scenario, check_epsilon
+from .model import Action, ActionProfile, Scenario, _check_profile, check_epsilon
 
 SCHEDULES = ("round_robin", "random")
 TIE_BREAKS = ("stay", "expose", "buffer")
@@ -174,11 +174,7 @@ def exact_potential(scenario: Scenario, profile: ActionProfile) -> float:
     because payoffs are count-based with ward-separable costs; sequential
     best-response moves therefore cannot cycle.
     """
-    n = scenario.n
-    if len(profile) != n:
-        raise ScenarioError(
-            f"profile length {len(profile)} does not match {n} wards"
-        )
+    _check_profile(scenario, profile)
     tables = payoff_tables(scenario)
     benefit, penalty = tables.benefit, tables.penalty
     phi = math.fsum(

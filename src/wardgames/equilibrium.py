@@ -26,7 +26,8 @@ from .interventions import (
     buffering_penalty,
     payoff_tables,
 )
-from .model import Action, ActionProfile, Scenario, benefit_at_count, check_epsilon, welfare
+from .model import (Action, ActionProfile, Scenario, _check_profile, _check_ward,
+                    benefit_at_count, check_epsilon, welfare)
 
 # Materialising a Nash set of more than this many profiles is refused.
 _MAX_NASH_PROFILES = 1 << 22
@@ -144,9 +145,8 @@ def best_response(
     Ties (payoffs within epsilon) return both actions.
     """
     check_epsilon(epsilon)
+    _check_ward(scenario, ward)
     n = scenario.n
-    if not 0 <= ward < n:
-        raise ScenarioError(f"ward index {ward} out of range [0, {n - 1}]")
     if len(others) != n - 1:
         raise ScenarioError(
             f"profile-of-others must have {n - 1} actions, got {len(others)}"
@@ -170,10 +170,7 @@ def is_nash(
     so the two can cross-check each other.
     """
     check_epsilon(epsilon)
-    if len(profile) != scenario.n:
-        raise ScenarioError(
-            f"profile length {len(profile)} does not match {scenario.n} wards"
-        )
+    _check_profile(scenario, profile)
     rule = _cost_rule(scenario)
     n, k = scenario.n, profile.exposer_count
     # ward i switching alone moves the exposer count by one, so the payoffs

@@ -22,6 +22,7 @@ from .model import (
     ActionProfile,
     Scenario,
     _check_profile,
+    _check_ward,
     benefit_at_count,
 )
 
@@ -164,9 +165,7 @@ def buffering_penalty(scenario: Scenario, k_others: int) -> float:
 def effective_payoff(scenario: Scenario, profile: ActionProfile, ward: int) -> float:
     """The post-intervention payoff u_i used by every downstream module."""
     _check_profile(scenario, profile)
-    n = scenario.n
-    if not 0 <= ward < n:
-        raise ScenarioError(f"ward index {ward} out of range [0, {n - 1}]")
+    _check_ward(scenario, ward)
     expose = profile.actions[ward] is Action.EXPOSE
     return _payoff(scenario, _cost_rule(scenario), ward, expose, profile.exposer_count)
 
@@ -192,8 +191,8 @@ def system_borne_cost(scenario: Scenario, profile: ActionProfile) -> float:
     if mech is None or mech.mode is not MechanismMode.REDISTRIBUTE:
         return 0.0
     return math.fsum(
-        w.cost_expose - _cap(mech, w.id)
-        for w, a in zip(scenario.wards, profile.actions)
+        w.cost_expose - _cap(mech, i)
+        for i, (w, a) in enumerate(zip(scenario.wards, profile.actions))
         if a is Action.EXPOSE
     )
 
@@ -295,7 +294,7 @@ def _cost_fields(scenario: Scenario, rule: tuple | None = None) -> dict:
     mech = rule[0]
     charge = None
     if mech is not None and mech.mode is MechanismMode.REDISTRIBUTE:
-        charge = tuple(w.cost_expose - _cap(mech, w.id) for w in scenario.wards)
+        charge = tuple(w.cost_expose - _cap(mech, i) for i, w in enumerate(scenario.wards))
     return {"cost_expose": ce, "cost_buffer": cb, "charge": charge}
 
 

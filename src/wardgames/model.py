@@ -105,25 +105,21 @@ def profile_string(mask: int, n: int) -> str:
 
 @dataclass(frozen=True)
 class Ward:
-    """One inpatient ward with its local action costs.
+    """One inpatient ward with its local action costs; its index is its
+    position in `Scenario.wards`.
 
     cost_expose is the local workload/risk of revealing capacity, cost_buffer
     the cost of holding it back. Both are abstract local cost units.
     """
 
-    id: int
     cost_expose: float
     cost_buffer: float
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ScenarioError(f"ward id must be non-negative, got {self.id}")
         for name in ("cost_expose", "cost_buffer"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
-                raise ScenarioError(
-                    f"ward {self.id}: {name} must be finite and >= 0, got {v}"
-                )
+                raise ScenarioError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -173,8 +169,6 @@ class TableBenefit:
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
-        if len(vals) < 3:
-            raise ScenarioError("benefit table needs at least 3 entries (N >= 2)")
         for idx, v in enumerate(vals):
             if not math.isfinite(v):
                 raise ScenarioError(f"benefit table entry {idx} is not finite: {v}")
@@ -224,28 +218,19 @@ class Scenario:
         n = len(wards)
         if n < 2:
             raise ScenarioError(f"a scenario needs at least 2 wards, got {n}")
-        ids = [w.id for w in wards]
-        if ids != list(range(n)):
-            raise ScenarioError(f"ward ids must be 0..{n - 1} with no gaps, got {ids}")
         if isinstance(self.benefit, TableBenefit) and len(self.benefit.values) != n + 1:
-            raise ScenarioError(
-                f"benefit table must have exactly {n + 1} entries for {n} wards, "
-                f"got {len(self.benefit.values)}"
-            )
+            raise ScenarioError(f"benefit.values: expected exactly {n + 1} entries for "
+                                f"{n} wards, got {len(self.benefit.values)}")
         if isinstance(self.benefit, ThresholdBenefit) and self.benefit.tau > n:
             raise ScenarioError(
-                f"threshold tau must lie in [1, {n}], got {self.benefit.tau}"
-            )
+                f"benefit.tau: expected a threshold in [1, {n}], got {self.benefit.tau}")
         from .interventions import Mechanism  # deferred to avoid import cycle
 
         for idx, iv in enumerate(ivs):
-            if isinstance(iv, Mechanism) and isinstance(iv.capped_cost_expose, tuple):
-                if len(iv.capped_cost_expose) != n:
-                    raise ScenarioError(
-                        f"interventions[{idx}].capped_cost_expose has "
-                        f"{len(iv.capped_cost_expose)} entries but the scenario "
-                        f"has {n} wards"
-                    )
+            caps = iv.capped_cost_expose if isinstance(iv, Mechanism) else None
+            if isinstance(caps, tuple) and len(caps) != n:
+                raise ScenarioError(f"interventions[{idx}].capped_cost_expose: "
+                                    f"expected {n} per-ward entries, got {len(caps)}")
 
     @property
     def n(self) -> int:
@@ -263,7 +248,7 @@ def symmetric_scenario(
     interventions: Iterable["Intervention"] = (),
 ) -> Scenario:
     """Convenience constructor for N identical wards."""
-    wards = tuple(Ward(i, cost_expose, cost_buffer) for i in range(n))
+    wards = (Ward(cost_expose, cost_buffer),) * n
     return Scenario(wards=wards, benefit=benefit, interventions=tuple(interventions))
 
 
@@ -272,6 +257,11 @@ def _check_profile(scenario: Scenario, profile: ActionProfile) -> None:
         raise ScenarioError(
             f"profile length {len(profile)} does not match {scenario.n} wards"
         )
+
+
+def _check_ward(scenario: Scenario, ward: int) -> None:
+    if not 0 <= ward < scenario.n:
+        raise ScenarioError(f"ward index {ward} out of range [0, {scenario.n - 1}]")
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -307,10 +297,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     from .interventions import Mechanism
 
     warnings: list[str] = []
-    for w in scenario.wards:
+    for i, w in enumerate(scenario.wards):
         if w.cost_expose <= w.cost_buffer:
             warnings.append(
-                f"ward {w.id}: cost_expose ({w.cost_expose}) does not exceed "
+                f"ward {i}: cost_expose ({w.cost_expose}) does not exceed "
                 f"cost_buffer ({w.cost_buffer}); the structural asymmetry "
                 "c(E) > c(B) is violated"
             )
@@ -326,10 +316,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if isinstance(iv, Mechanism):
             caps = iv.capped_cost_expose
             caps_t = caps if isinstance(caps, tuple) else (caps,) * scenario.n
-            for w, cap in zip(scenario.wards, caps_t):
+            for i, (w, cap) in enumerate(zip(scenario.wards, caps_t)):
                 if cap >= w.cost_expose:
                     warnings.append(
-                        f"interventions[{idx}]: cap {cap} for ward {w.id} does "
+                        f"interventions[{idx}]: cap {cap} for ward {i} does "
                         f"not reduce its exposure cost {w.cost_expose}"
                     )
     return warnings

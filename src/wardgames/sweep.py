@@ -255,8 +255,8 @@ def critical_threshold(
 ) -> ThresholdResult:
     """The two adjacent parameter values in [lo, hi] where the predicate flips.
 
-    lo and hi must be finite with lo < hi, and the predicate must differ at
-    them. The search runs over the parameter's values in order (floats by
+    lo and hi must be finite with lo < hi, whole on an integer field, and
+    the predicate must differ at them. The search runs over the parameter's values in order (floats by
     bit pattern, or the integers of an integer field): it gallops out from
     a hint until the predicate changes, then bisects. Every step keeps the predicate's value at lo at
     the lower end and its other value at the upper end, so the search ends
@@ -268,6 +268,9 @@ def critical_threshold(
     key = normalize_predicate(predicate)
     pred = PREDICATES[key]
     at, integer = _patcher(scenario, parameter_path)
+    if integer and not (float(lo).is_integer() and float(hi).is_integer()):
+        raise ScenarioError(f"{parameter_path!r} names an integer field; got lo={lo}, hi={hi}",
+                            ("lo", "hi"))
     to_key, from_key = (int, float) if integer else (_float_key, _key_float)
     t_lo, t_hi = at(lo)[1], at(hi)[1]
     p_lo, p_hi = pred(t_lo, epsilon), pred(t_hi, epsilon)

@@ -87,10 +87,10 @@ def random_scenario(
     if symmetric:
         cb = rng.uniform(0.2, 2.0)
         ce = cb + rng.uniform(0.05, 2.0)
-        wards = tuple(Ward(i, ce, cb) for i in range(n))
+        wards = (Ward(ce, cb),) * n
     else:
         wards = tuple(
-            Ward(i, rng.uniform(0.3, 4.0), rng.uniform(0.1, 2.0)) for i in range(n)
+            Ward(rng.uniform(0.3, 4.0), rng.uniform(0.1, 2.0)) for _ in range(n)
         )
     benefit = random_benefit(rng, n)
     ivs = ()
@@ -110,7 +110,7 @@ def repeated_costs_scenario(
         (rng.choice((1.0, 1.5, 2.0, 2.5)), rng.choice((0.25, 0.5, 1.0)))
         for _ in range(3)
     ]
-    wards = tuple(Ward(i, *rng.choice(pairs)) for i in range(n))
+    wards = tuple(Ward(*rng.choice(pairs)) for _ in range(n))
     values = [0.0]
     for _ in range(n):
         values.append(values[-1] + rng.choice((0.25, 0.5, 0.75, 1.0)))
@@ -135,12 +135,12 @@ def interchangeable_edge_scenarios() -> list[Scenario]:
     table = TableBenefit((-0.0, 0.25, -0.0, -0.0, -0.0))
     obs = Observability(p0=0.5, p_slope=0.0, penalty=1.0)
     redistribute = Mechanism(1.1, MechanismMode.REDISTRIBUTE)
-    signed = (Ward(0, 0.0, -0.0), Ward(1, -0.0, 0.0), Ward(2, 0.0, 0.0),
-              Ward(3, -0.0, -0.0))
-    capped = tuple(Ward(i, 3.5 - 0.5 * i, 0.5) for i in range(5))
+    signed = (Ward(0.0, -0.0), Ward(-0.0, 0.0), Ward(0.0, 0.0),
+              Ward(-0.0, -0.0))
+    capped = tuple(Ward(3.5 - 0.5 * i, 0.5) for i in range(5))
     return [
         Scenario(signed, table, (obs,)),
-        Scenario(tuple(Ward(i, -0.0, -0.0) for i in range(4)), table, (obs,)),
+        Scenario((Ward(-0.0, -0.0),) * 4, table, (obs,)),
         symmetric_scenario(5, 2.0, 0.5, LinearBenefit(0.4), [obs, redistribute]),
         Scenario(capped, LinearBenefit(0.4), (obs, redistribute)),
     ]

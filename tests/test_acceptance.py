@@ -118,7 +118,7 @@ def test_criterion_05_mechanism_flip(s0):
 
 
 def test_criterion_06_per_ward_blocking(s0):
-    wards = s0.wards[:3] + (Ward(3, 5.0, 1.0),)
+    wards = s0.wards[:3] + (Ward(5.0, 1.0),)
     per_ward = Scenario(wards, s0.benefit, (Mechanism((1.2, 1.2, 1.2, 5.0)),))
     report = flip_conditions(per_ward)
     assert report.blocking_wards == frozenset({3})

@@ -279,6 +279,9 @@ MALFORMED = [
     ({"options": {"rng_seed": 1.5}}, "options.rng_seed: expected an integer, got 1.5"),
     ({"options": {"max_iters": False}}, "options.max_iters: expected an integer, got False"),
     ({"options": {"epsilon": "0"}}, "options.epsilon: expected a number, got '0'"),
+    # a table too short for any scenario is reported against n_wards
+    ({"benefit": {"kind": "table", "values": [0.0, 1.0]}},
+     "benefit.values: expected exactly 5 entries for 4 wards, got 2"),
 ]
 
 
@@ -324,11 +327,11 @@ class TestSchema:
              "interventions[1]: capped_cost_expose entries must be finite and >= 0, "
              "got -1.0"),
             ({"wards": {"symmetric": {**_WARD, "cost_buffer": -1}}},
-             "wards.symmetric: ward 0: cost_buffer must be finite and >= 0, got -1.0"),
+             "wards.symmetric: cost_buffer must be finite and >= 0, got -1.0"),
             ({"wards": [_WARD] * 3 + [{**_WARD, "cost_expose": float("nan")}]},
-             "wards[3]: ward 3: cost_expose must be finite and >= 0, got nan"),
+             "wards[3]: cost_expose must be finite and >= 0, got nan"),
             ({"benefit": {"kind": "threshold", "tau": 5, "beta": 1.0}},
-             "document: threshold tau must lie in [1, 4], got 5"),
+             "benefit.tau: expected a threshold in [1, 4], got 5"),
         ],
     )
     def test_value_error_names_its_path(self, overrides, line, tmp_path, capsys):
@@ -688,6 +691,9 @@ class TestFlagErrors:
              "--epsilon: epsilon must be a finite number >= 0, got -1.0"),
             (SWEEP + ["--lo", "0", "--hi", "1", "--epsilon=-1"] + CRITICAL,
              "--epsilon: epsilon must be a finite number >= 0, got -1.0"),
+            (["sweep", str(SCENARIOS / "v0_veto.json"), "--path", "benefit.tau", "--lo", "1.5",
+              "--hi", "4", "--critical", "--predicate", "all_expose_not_nash"],
+             "--lo/--hi: 'benefit.tau' names an integer field; got lo=1.5, hi=4.0"),
         ],
     )
     def test_message_names_the_flag(self, argv, line, capsys):
@@ -1217,8 +1223,8 @@ class TestMarginChart:
             cases.append((values, [list(row) for row in zip(*cols)]))
         for scenario in ("s0_observability", "s0_effort", "s0_mechanism"):
             s = load_scenario(SCENARIOS / f"{scenario}.json")
-            s = replace(s, wards=tuple(replace(w, cost_expose=w.cost_expose + 0.1 * w.id)
-                                       for w in s.wards))
+            s = replace(s, wards=tuple(replace(w, cost_expose=w.cost_expose + 0.1 * i)
+                                       for i, w in enumerate(s.wards)))
             path = cli._canonical_sweeps(s)[0][2]
             rows = sweep_parameter(s, path, sweep_grid(0.0, 3.0, 21),
                                    observables=("flip_margins",))

@@ -501,7 +501,7 @@ class TestExpectedPayoffs:
         assert u_b == v0.benefit_at(0) - 1.0
 
     def test_asymmetric_rejected(self):
-        wards = (Ward(0, 2.0, 1.0), Ward(1, 3.0, 1.0))
+        wards = (Ward(2.0, 1.0), Ward(3.0, 1.0))
         s = Scenario(wards, LinearBenefit(0.3))
         with pytest.raises(ScenarioError):
             expected_payoffs_by_strategy(s, 0.5)
@@ -631,7 +631,7 @@ class TestReplicator:
             integrate_replicator(s0, -0.1)
         with pytest.raises(ScenarioError):
             integrate_replicator(s0, 0.5, dt=0.0)
-        wards = (Ward(0, 2.0, 1.0), Ward(1, 3.0, 1.0))
+        wards = (Ward(2.0, 1.0), Ward(3.0, 1.0))
         with pytest.raises(ScenarioError):
             integrate_replicator(Scenario(wards, LinearBenefit(0.3)), 0.5)
 

@@ -232,7 +232,7 @@ class TestEnumerate:
         # pivotal, wards 14-25 never do, so the Nash set is all-Buffer plus
         # every 13-subset of wards 0-13
         wards = tuple(
-            Ward(i, 1.5 + 0.1 * i if i < 14 else 4.5 + 0.1 * i, 1.0 + 0.01 * i)
+            Ward(1.5 + 0.1 * i if i < 14 else 4.5 + 0.1 * i, 1.0 + 0.01 * i)
             for i in range(26)
         )
         s = Scenario(wards, ThresholdBenefit(tau=13, beta=3.0))
@@ -251,7 +251,7 @@ class TestEnumerate:
     def test_resource_limit_raised_before_materialising(self):
         # dyadic costs with c(E) - c(B) = B(k + 1) - B(k) = 0.5 make every
         # deviation tie exactly, so all 2^23 > 4M profiles are weak Nash
-        wards = tuple(Ward(i, 1.5 + 0.25 * i, 1.0 + 0.25 * i) for i in range(23))
+        wards = tuple(Ward(1.5 + 0.25 * i, 1.0 + 0.25 * i) for i in range(23))
         s = Scenario(wards, LinearBenefit(0.5))
         rng = random.Random(71)
         for _ in range(5):
@@ -349,9 +349,9 @@ class TestWelfare:
     def test_optimum_ranks_float_key_ties_exactly(self):
         # the ranking keys of wards 0 and 1 both round to -(2^72 + 2^21) but
         # differ by 2^19, which ward 2's cancelling entries bring back
-        wards = (Ward(0, 2.0**73, 2.0**72 - 2.0**21 - 2.0**19),
-                 Ward(1, 2.0**73, 2.0**72 - 2.0**21),
-                 Ward(2, 2.0**80, 0.0))
+        wards = (Ward(2.0**73, 2.0**72 - 2.0**21 - 2.0**19),
+                 Ward(2.0**73, 2.0**72 - 2.0**21),
+                 Ward(2.0**80, 0.0))
         s = Scenario(wards, TableBenefit((0.0, 2.0**72, 0.0, 0.0)))
         scan = [welfare(s, ActionProfile.from_mask(m, 3)) for m in range(8)]
         opt_profile, opt_w = enumerate_nash(s).welfare_optimum
@@ -400,7 +400,7 @@ class TestFlipConditions:
             assert not w.effort_buffer_holds
 
     def test_per_ward_blocking(self, s0):
-        wards = s0.wards[:3] + (Ward(3, 5.0, 1.0),)
+        wards = s0.wards[:3] + (Ward(5.0, 1.0),)
         uneven = Scenario(wards, s0.benefit, (Mechanism((1.2, 1.2, 1.2, 5.0)),))
         report = flip_conditions(uneven)
         assert report.blocking_wards == frozenset({3})
@@ -420,7 +420,7 @@ class TestFlipConditions:
         scenarios += [
             repeated_costs_scenario(rng, with_interventions=True) for _ in range(20)
         ]
-        wards = tuple(Ward(i, 1.5 + 0.5 * i, 0.25 * i) for i in range(4))
+        wards = tuple(Ward(1.5 + 0.5 * i, 0.25 * i) for i in range(4))
         benefit = LinearBenefit(0.3)
         scenarios += [
             # two mechanisms, the last (per-ward caps) governing
@@ -431,7 +431,7 @@ class TestFlipConditions:
                                       Observability(0.2, 0.9, 1.5),
                                       EffortReduction(0.25, 0.5))),
             Scenario(wards, benefit, (Observability(0.7, -0.4, 1.0), Mechanism(0.9))),
-            Scenario((Ward(0, 2.0, 1.0), Ward(1, 1.25, 0.5)), benefit,
+            Scenario((Ward(2.0, 1.0), Ward(1.25, 0.5)), benefit,
                      (Observability(0.5, 0.5, 1.2), EffortReduction(0.1, 0.2),
                       Mechanism((0.4, 1.1), MechanismMode.REDISTRIBUTE))),
         ]

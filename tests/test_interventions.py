@@ -287,7 +287,7 @@ class TestComposition:
 
     def test_signed_zero_costs_keep_their_sign(self):
         # 0.0 == -0.0, but they round apart: every entry keeps its own sign
-        wards = (Ward(0, 0.0, 0.0), Ward(1, -0.0, 0.0), Ward(2, 0.0, 0.0))
+        wards = (Ward(0.0, 0.0), Ward(-0.0, 0.0), Ward(0.0, 0.0))
         s = Scenario(wards, LinearBenefit(-0.0))
         zeros = payoff_tables(s)
         assert [str(zeros.expose(i, 0)) for i in range(3)] == ["-0.0", "0.0", "-0.0"]
@@ -297,7 +297,7 @@ class TestComposition:
 
     def test_compiled_tables_stay_small(self):
         # O(N) numbers: a 512-ward table of 2N^2 floats would take ~17 MB
-        wards = tuple(Ward(i, 1.8 + 0.05 * i / 32, 1.0) for i in range(512))
+        wards = tuple(Ward(1.8 + 0.05 * i / 32, 1.0) for i in range(512))
         s = Scenario(wards, LinearBenefit(0.3), (Observability(0.5, 0.2, 1.0),))
         tracemalloc.start()
         try:
@@ -324,7 +324,7 @@ class TestSymmetryDetection:
         assert payoff_tables(s).classes == ((0, 0b0111), (3, 0b1000))
 
     def test_cost_differences_break_symmetry(self):
-        wards = (Ward(0, 2.0, 1.0), Ward(1, 2.5, 1.0), Ward(2, 2.0, 1.0))
+        wards = (Ward(2.0, 1.0), Ward(2.5, 1.0), Ward(2.0, 1.0))
         tables = payoff_tables(Scenario(wards, LinearBenefit(0.3)))
         assert tables.classes == ((0, 0b101), (1, 0b010))
 
@@ -332,7 +332,7 @@ class TestSymmetryDetection:
         # a broadcast cap erases the raw cost differences: payoffs are identical
         cap = [Mechanism(1.2)]
         veto = ThresholdBenefit(tau=3, beta=3.0)
-        wards = (Ward(0, 3.0, 1.0), Ward(1, 4.0, 1.0), Ward(2, 3.5, 1.0))
+        wards = (Ward(3.0, 1.0), Ward(4.0, 1.0), Ward(3.5, 1.0))
         s = Scenario(wards, veto, tuple(cap))
         same = symmetric_scenario(3, 3.0, 1.0, veto, cap)
         assert payoff_tables(s).classes == ((0, 0b111),)
@@ -419,7 +419,7 @@ class TestFloatRange:
             def big():
                 return rng.choice(scales) * rng.random()
 
-            wards = tuple(Ward(i, big(), big()) for i in range(n))
+            wards = tuple(Ward(big(), big()) for _ in range(n))
             table = TableBenefit(tuple(rng.choice((-1.0, 1.0)) * big() for _ in range(n + 1)))
             ivs = [Observability(rng.random(), 0.0, big())] if rng.random() < 0.5 else []
             if rng.random() < 0.5:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -136,11 +137,7 @@ class TestProfile:
 class TestScenarioValidation:
     def test_needs_two_wards(self):
         with pytest.raises(ScenarioError):
-            Scenario((Ward(0, 1.0, 0.5),), LinearBenefit(0.1))
-
-    def test_ward_ids_must_be_contiguous(self):
-        with pytest.raises(ScenarioError):
-            Scenario((Ward(0, 1.0, 0.5), Ward(2, 1.0, 0.5)), LinearBenefit(0.1))
+            Scenario((Ward(1.0, 0.5),), LinearBenefit(0.1))
 
     def test_table_length_must_match(self):
         with pytest.raises(ScenarioError):
@@ -156,9 +153,31 @@ class TestScenarioValidation:
                 4, 2.0, 1.0, LinearBenefit(0.3), [Mechanism((1.0, 1.0))]
             )
 
+    @pytest.mark.parametrize("benefit, interventions, line", [
+        (TableBenefit((0.0, 1.0, 2.0)), (),
+         "benefit.values: expected exactly 5 entries for 4 wards, got 3"),
+        (TableBenefit((0.0, 1.0)), (),
+         "benefit.values: expected exactly 5 entries for 4 wards, got 2"),
+        (ThresholdBenefit(tau=5, beta=1.0), (),
+         "benefit.tau: expected a threshold in [1, 4], got 5"),
+        (LinearBenefit(0.3), (Mechanism(1.0), Mechanism((1.0, 1.0))),
+         "interventions[1].capped_cost_expose: expected 4 per-ward entries, got 2"),
+    ])
+    def test_cross_field_refusal_names_its_path_once(self, benefit, interventions, line):
+        with pytest.raises(ScenarioError) as info:
+            Scenario((Ward(2.0, 1.0),) * 4, benefit, interventions)
+        assert str(info.value) == line
+        path = line.split(":")[0]
+        assert str(info.value).count(path) == 1
+
     def test_negative_costs_rejected(self):
         with pytest.raises(ScenarioError):
-            Ward(0, -1.0, 0.5)
+            Ward(-1.0, 0.5)
+
+    def test_ward_is_its_two_costs(self):
+        assert [f.name for f in fields(Ward)] == ["cost_expose", "cost_buffer"]
+        s = symmetric_scenario(3, 2.0, 1.0, LinearBenefit(0.3))
+        assert s.wards == (Ward(2.0, 1.0),) * 3
 
     def test_asymmetry_warning(self):
         s = symmetric_scenario(3, 1.0, 1.5, LinearBenefit(0.1))

@@ -15,6 +15,7 @@ from wardgames import (
     LinearBenefit,
     Observability,
     ScenarioError,
+    ThresholdBenefit,
     best_response,
     best_response_dynamics,
     critical_threshold,
@@ -90,6 +91,7 @@ class TestEpsilonChecked:
 
 
 PENALTY = "interventions[0].penalty"
+V0 = symmetric_scenario(3, 2.0, 1.0, ThresholdBenefit(tau=3, beta=3.0))
 PREDICATE = "all_buffer_not_nash"
 
 
@@ -112,6 +114,8 @@ class TestRefusalNames:
                      ("lo", "hi"), id="threshold-order"),
         pytest.param(lambda: critical_threshold(S, PENALTY, 0.0, 4.0, "bogus"),
                      ("predicate",), id="threshold-predicate"),
+        pytest.param(lambda: critical_threshold(V0, "benefit.tau", 1.0, 2.5, PREDICATE),
+                     ("lo", "hi"), id="threshold-integer-field"),
         pytest.param(lambda: sweep_parameter(S, PENALTY, (0.0,), observables=("bogus",)),
                      ("observables",), id="sweep-observables"),
         pytest.param(lambda: integrate_replicator(S, 1.5), ("x0",), id="replicator-x0"),

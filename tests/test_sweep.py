@@ -96,15 +96,20 @@ class TestParameterPaths:
                 resolve(s0, "n")
             with pytest.raises(ScenarioError, match="no field 'benefit_at' on Scenario"):
                 resolve(s0, "benefit_at")
+            # a ward's index is its place in the list, not a field
+            with pytest.raises(ScenarioError, match=r"no field 'id' on Ward$"):
+                resolve(s0, "wards[0].id")
 
     def test_non_numeric_leaf_rejected(self, s0):
         with pytest.raises(ScenarioError):
             get_by_path(s0, "wards[0]")
 
     def test_invalid_values_still_validated(self, s0, v0):
-        with pytest.raises(ScenarioError, match="'wards\\[0\\].cost_expose': ward 0"):
+        with pytest.raises(ScenarioError, match=r"^parameter path 'wards\[0\].cost_expose': "
+                           r"cost_expose must be finite and >= 0, got -1.0$"):
             set_by_path(s0, "wards[0].cost_expose", -1.0)
-        with pytest.raises(ScenarioError, match="'benefit.tau': threshold tau must lie"):
+        with pytest.raises(ScenarioError, match=r"^parameter path 'benefit.tau': benefit.tau: "
+                           r"expected a threshold in \[1, 4\], got 5$"):
             set_by_path(v0, "benefit.tau", 5.0)
 
 
@@ -292,7 +297,7 @@ def oracle_patcher(scenario, path):
 
 
 def numeric_paths(obj, prefix=""):
-    """Every path to a numeric field below obj, ward ids left out."""
+    """Every path to a numeric field below obj."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         items = ([(f"{prefix}{f.name}[{i}]", v) for i, v in enumerate(value)]
@@ -300,7 +305,7 @@ def numeric_paths(obj, prefix=""):
         for path, v in items:
             if is_dataclass(v):
                 yield from numeric_paths(v, path + ".")
-            elif isinstance(v, (int, float)) and not isinstance(v, bool) and f.name != "id":
+            elif isinstance(v, (int, float)) and not isinstance(v, bool):
                 yield path
 
 
@@ -717,7 +722,7 @@ class TestCriticalThreshold:
 
     def test_asymmetric_threshold_is_the_first_ward_to_flip(self, s0):
         # ward 3 (c(E) = 3) flips at delta_E = 1.7, after the others at 0.7
-        wards = s0.wards[:3] + (type(s0.wards[0])(3, 3.0, 1.0),)
+        wards = s0.wards[:3] + (type(s0.wards[0])(3.0, 1.0),)
         s = Scenario(wards, s0.benefit, (EffortReduction(0.0, 0.0),))
         assert payoff_tables(s).classes == ((0, 0b0111), (3, 0b1000))
         path = "interventions[0].delta_expose"
@@ -849,7 +854,7 @@ class TestCriticalThreshold:
             result = critical_threshold(s, "benefit.tau", lo, 6.0, "all_expose_not_nash")
             assert result.bracket == (5.0, 6.0)
             assert_certified(s, "benefit.tau", lo, 6.0, "all_expose_not_nash", result)
-        with pytest.raises(ScenarioError, match="integer field; got 1.5"):
+        with pytest.raises(ScenarioError, match="integer field; got lo=1.5, hi=6.0"):
             critical_threshold(s, "benefit.tau", 1.5, 6.0, "all_expose_not_nash")
 
     def test_ends_are_evaluated_at_the_given_values(self):
